@@ -9,7 +9,13 @@ import numpy as np
 from .graphs import Graph, max_degree_vertices
 from .records import ExperimentRecord
 from .simulator import AngleVector
-from .strategies import PI8, PI8_TOLERANCE, STRATEGY_KINDS, _normalize_array
+from .strategies import (
+    PI8,
+    PI8_TOLERANCE,
+    STRATEGY_KINDS,
+    _normalize_array,
+    _round_to_pi8_array,
+)
 
 HISTOGRAM_BINS = 16
 HISTOGRAM_BIN_LEFT_EDGES = tuple(-np.pi + k * PI8 for k in range(HISTOGRAM_BINS))
@@ -71,12 +77,6 @@ def _require_records(records) -> list[ExperimentRecord]:
     return records
 
 
-def _nearest_pi8_distance(values: np.ndarray) -> np.ndarray:
-    k = values / PI8
-    nearest = np.where(k >= 0, np.floor(k + 0.5), np.ceil(k - 0.5)) * PI8
-    return np.abs(values - nearest)
-
-
 def angle_concentration(records, tolerance: float = PI8_TOLERANCE) -> AngleStats:
     """How strongly final angles cluster on multiples of pi/8.
 
@@ -97,7 +97,7 @@ def angle_concentration(records, tolerance: float = PI8_TOLERANCE) -> AngleStats
         total += flat.size
         if flat.size == 0:
             continue
-        multiples += int((_nearest_pi8_distance(flat) < tolerance).sum())
+        multiples += int((np.abs(flat - _round_to_pi8_array(flat)) < tolerance).sum())
         bins = np.clip(
             np.floor((flat + np.pi) / PI8).astype(np.int64), 0, HISTOGRAM_BINS - 1
         )

@@ -11,8 +11,10 @@ from reproducibility guarantees.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,38 +142,27 @@ def run_experiment(config: RunConfig) -> list[ExperimentRecord]:
     graphs = load_dataset(config.dataset, config.seed)
     graphs = sorted(graphs, key=lambda g: g.id)
 
-    writer = None
-    handle = None
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        handle = open(out / "records.csv", "w", encoding="ascii", newline="")
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-
     all_records: list[ExperimentRecord] = []
-    try:
-        if config.threads == 1:
-            blocks = (_graph_records(g, config) for g in graphs)
-            for block in blocks:
-                all_records.extend(block)
-                if writer is not None:
-                    writer.writerows(r.to_row() for r in block)
-                    handle.flush()
-        else:
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.threads
-            ) as pool:
-                futures = [pool.submit(_graph_records, g, config) for g in graphs]
-                for future in futures:
-                    block = future.result()
-                    all_records.extend(block)
-                    if writer is not None:
-                        writer.writerows(r.to_row() for r in block)
-                        handle.flush()
-    finally:
-        if handle is not None:
-            handle.close()
+    with contextlib.ExitStack() as stack:
+        writer = None
+        if config.out_dir is not None:
+            out = Path(config.out_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            handle = stack.enter_context(
+                open(out / "records.csv", "w", encoding="ascii", newline="")
+            )
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(CSV_HEADER)
+        # map and the pool's map both yield blocks in graph order
+        mapper = map
+        if config.threads > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=config.threads)
+            mapper = stack.enter_context(pool).map
+        for block in mapper(_graph_records, graphs, itertools.repeat(config)):
+            all_records.extend(block)
+            if writer is not None:
+                writer.writerows(r.to_row() for r in block)
+                handle.flush()
     return all_records
 
 

@@ -57,7 +57,6 @@ class OptimizationResult:
     final_value: float
     iterations: int
     function_evaluations: int
-    gradient_evaluations: int
     converged: bool
     trace: list[float] = field(default_factory=list)
 
@@ -306,7 +305,6 @@ def bfgs_maximize(objective, start, config: OptimizerConfig | None = None) -> Op
         final_value=-f,
         iterations=iterations,
         function_evaluations=calls[0],
-        gradient_evaluations=calls[0],
         converged=converged,
         trace=trace,
     )

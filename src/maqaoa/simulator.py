@@ -30,9 +30,9 @@ from .graphs import Graph
 
 MAX_QUBITS = 24
 
-# per-edge indicator tables are materialized as a dense (2^n, m) matrix up
-# to this qubit count; above it, per-edge columns are built on the fly
-_TABLE_LIMIT = 14
+# the cost diagonal is kept factored over a split of the basis index into
+# its low _LO_BITS bits and the remaining high bits; see _CostTables
+_LO_BITS = 10
 
 #: A statevector is a bare 1-D complex128 array of length 2^n.
 StateVector = np.ndarray
@@ -86,31 +86,71 @@ class AngleVector:
         return cls(layers[:, :edge_count].copy(), layers[:, edge_count:].copy())
 
 
+@dataclass(frozen=True, eq=False)
+class _CostTables:
+    """A graph's cost diagonal, factored over a (2^a, 2^b) split of the index.
+
+    Basis index i is read as row i >> b (the high a = n - b bits) and column
+    i & (2^b - 1) (the low b bits). `low` is (2^b, m) and `high` is (2^a, m),
+    one column per edge. An edge inside the low or the high bits is its cut
+    indicator in that table and zero in the other. An edge (u, v) with
+    u < b <= v holds z_u in `low` and z_v in `high`, and is listed in `cross`;
+    its cut indicator is z_u + z_v - 2 z_u z_v.
+    """
+
+    low: np.ndarray
+    high: np.ndarray
+    cross: np.ndarray
+
+    def phase(self, gammas: np.ndarray) -> np.ndarray:
+        """Sum of gamma_e over the edges cut by each basis state, flat 2^n."""
+        phase = self.low @ gammas
+        # for n <= _LO_BITS, high is one all-zero row and no edge crosses
+        if len(self.high) > 1:
+            c = self.cross
+            phase = (self.high @ gammas)[:, None] + phase
+            phase += (self.high[:, c] * (-2.0 * gammas[c])) @ self.low[:, c].T
+        return phase.ravel()
+
+    def contract(self, w: np.ndarray) -> np.ndarray:
+        """Per edge, the sum of a real 2^n vector over the states it cuts."""
+        w = w.reshape(len(self.high), len(self.low))
+        out = w.sum(axis=0) @ self.low
+        if len(self.high) > 1:
+            c = self.cross
+            out += w.sum(axis=1) @ self.high
+            out[c] -= 2.0 * ((self.high[:, c].T @ w) * self.low[:, c].T).sum(axis=1)
+        return out
+
+
 @lru_cache(maxsize=256)
-def _edge_tables(g: Graph) -> tuple[np.ndarray | None, np.ndarray]:
-    """(indicator matrix or None, cut value per basis state) for a graph."""
-    dim = 1 << g.n
-    index = np.arange(dim, dtype=np.uint32)
-    if g.n <= _TABLE_LIMIT:
-        table = np.empty((dim, g.edge_count), dtype=np.float64)
-        for k, (u, v) in enumerate(g.edges):
-            table[:, k] = ((index >> u) ^ (index >> v)) & 1
-        return table, table.sum(axis=1)
-    cuts = np.zeros(dim, dtype=np.float64)
-    for u, v in g.edges:
-        cuts += (((index >> u) ^ (index >> v)) & 1).astype(np.float64)
-    return None, cuts
+def _cost_tables(g: Graph) -> _CostTables:
+    b = min(g.n, _LO_BITS)
+    a = g.n - b
+    # column j is bit j of the row index
+    z_low = (np.arange(1 << b)[:, None] >> np.arange(b)) & 1
+    z_high = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
+    low = np.zeros((1 << b, g.edge_count))
+    high = np.zeros((1 << a, g.edge_count))
+    cross = []
+    for k, (u, v) in enumerate(g.edges):  # u < v
+        if v < b:
+            low[:, k] = z_low[:, u] ^ z_low[:, v]
+        elif u >= b:
+            high[:, k] = z_high[:, u - b] ^ z_high[:, v - b]
+        else:
+            low[:, k] = z_low[:, u]
+            high[:, k] = z_high[:, v - b]
+            cross.append(k)
+    return _CostTables(low, high, np.array(cross, dtype=np.intp))
 
 
-def _edge_indicator(g: Graph, k: int) -> np.ndarray:
-    u, v = g.edges[k]
-    index = np.arange(1 << g.n, dtype=np.uint32)
-    return (((index >> u) ^ (index >> v)) & 1).astype(np.float64)
-
-
+@lru_cache(maxsize=256)
 def cut_values(g: Graph) -> np.ndarray:
-    """Cut size of every basis state, as a float array of length 2^n."""
-    return _edge_tables(g)[1]
+    """Cut size of every basis state, as a read-only float array of length 2^n."""
+    cuts = _cost_tables(g).phase(np.ones(g.edge_count))
+    cuts.flags.writeable = False
+    return cuts
 
 
 def prepare_plus_state(n_qubits: int) -> StateVector:
@@ -164,18 +204,6 @@ def _rotate(state: np.ndarray, vertex: int, beta: float) -> None:
     view[:, 1, :] = c * hi - 1j * s * lo
 
 
-def _cost_phase_sum(g: Graph, gammas: np.ndarray) -> np.ndarray:
-    """Total phase per basis state contributed by one cost layer."""
-    table, _ = _edge_tables(g)
-    if table is not None:
-        return table @ gammas
-    dim = 1 << g.n
-    phase = np.zeros(dim, dtype=np.float64)
-    for k in range(g.edge_count):
-        phase += gammas[k] * _edge_indicator(g, k)
-    return phase
-
-
 def _check_angles(g: Graph, angles: AngleVector) -> None:
     if angles.gamma.shape[1] != g.edge_count:
         raise ValueError(
@@ -190,10 +218,11 @@ def _check_angles(g: Graph, angles: AngleVector) -> None:
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     """Full circuit: plus state, then per layer all edge phases, all rotations."""
     _check_angles(g, angles)
+    tables = _cost_tables(g)
     psi = prepare_plus_state(g.n)
     for layer in range(angles.p):
         if g.edge_count:
-            psi *= np.exp(-1j * _cost_phase_sum(g, angles.gamma[layer]))
+            psi *= np.exp(-1j * tables.phase(angles.gamma[layer]))
         for v in range(g.n):
             _rotate(psi, v, angles.beta[layer, v])
     return psi
@@ -221,7 +250,8 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
     p = angles.p
     m = g.edge_count
     n = g.n
-    table, cuts = _edge_tables(g)
+    tables = _cost_tables(g)
+    cuts = cut_values(g)
 
     psi = run_circuit(g, angles)
     probs = psi.real ** 2 + psi.imag ** 2
@@ -233,26 +263,18 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
     grad_beta = np.empty((p, n), dtype=np.float64)
     for layer in reversed(range(p)):
         for v in range(n):
-            b = bra.reshape(-1, 2, 1 << v)
-            k = ket.reshape(-1, 2, 1 << v)
-            overlap = np.vdot(b[:, 0, :], k[:, 1, :]) + np.vdot(b[:, 1, :], k[:, 0, :])
+            # <bra|X_v|ket>: ket with bit v flipped
+            overlap = np.vdot(bra, ket.reshape(-1, 2, 1 << v)[:, ::-1, :])
             grad_beta[layer, v] = 2.0 * overlap.imag
         for v in range(n):
             beta = angles.beta[layer, v]
             _rotate(bra, v, -beta)
             _rotate(ket, v, -beta)
         if m:
-            w = np.conj(bra) * ket
-            if table is not None:
-                grad_gamma[layer] = 2.0 * (table.T @ w).imag
-            else:
-                for k_e in range(m):
-                    grad_gamma[layer, k_e] = 2.0 * float(
-                        (_edge_indicator(g, k_e) * w).sum().imag
-                    )
+            grad_gamma[layer] = 2.0 * tables.contract((np.conj(bra) * ket).imag)
             if layer:
                 # states below layer 0 are never read, skip the last undo
-                back = np.exp(1j * _cost_phase_sum(g, angles.gamma[layer]))
+                back = np.exp(1j * tables.phase(angles.gamma[layer]))
                 bra *= back
                 ket *= back
     flat = np.hstack([grad_gamma, grad_beta]).ravel()

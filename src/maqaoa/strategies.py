@@ -66,12 +66,19 @@ def _normalize_array(values: np.ndarray) -> np.ndarray:
     return values - 2.0 * np.pi * np.floor((values + np.pi) / (2.0 * np.pi))
 
 
+def _round_to_pi8_array(values: np.ndarray) -> np.ndarray:
+    """Nearest multiples of pi/8; exact halfway points round away from zero."""
+    k = np.asarray(values, dtype=np.float64) / PI8
+    # integer step counts, so that angles just below zero snap to 0.0, not
+    # -0.0; a non-finite angle raises instead of casting to garbage
+    with np.errstate(invalid="raise"):
+        steps = np.where(k >= 0, np.floor(k + 0.5), np.ceil(k - 0.5)).astype(np.int64)
+    return steps * PI8
+
+
 def round_to_pi8(theta: float) -> float:
     """Nearest multiple of pi/8; exact halfway points round away from zero."""
-    k = theta / PI8
-    if k >= 0:
-        return math.floor(k + 0.5) * PI8
-    return math.ceil(k - 0.5) * PI8
+    return float(_round_to_pi8_array(theta))
 
 
 def is_multiple_of_pi8(theta: float, tolerance: float = PI8_TOLERANCE) -> bool:
@@ -87,10 +94,7 @@ def normalize_angles(angles: AngleVector) -> AngleVector:
 def round_angles(angles: AngleVector) -> AngleVector:
     """Normalize then snap every angle to its nearest pi/8 multiple."""
     norm = normalize_angles(angles)
-    snap = np.vectorize(round_to_pi8, otypes=[np.float64])
-    gamma = snap(norm.gamma) if norm.gamma.size else norm.gamma
-    beta = snap(norm.beta) if norm.beta.size else norm.beta
-    return AngleVector(gamma, beta)
+    return AngleVector(_round_to_pi8_array(norm.gamma), _round_to_pi8_array(norm.beta))
 
 
 def init_uniform_random(g: Graph, p: int, seed: int) -> AngleVector:

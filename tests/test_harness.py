@@ -160,6 +160,20 @@ def test_run_streams_records_csv(tmp_path):
     assert rows_without_wall_time(stored) == rows_without_wall_time(records)
 
 
+def test_parallel_run_writes_the_serial_records_csv(tmp_path):
+    def stored(threads):
+        out = tmp_path / f"threads{threads}"
+        run_experiment(
+            RunConfig(
+                dataset="builtin:n4", p_values=(1,), strategies=("normal",),
+                seed=6, out_dir=str(out), threads=threads,
+            )
+        )
+        return read_records(out / "records.csv")
+
+    assert rows_without_wall_time(stored(2)) == rows_without_wall_time(stored(1))
+
+
 # ----- persistence -----
 
 def test_records_roundtrip(tmp_path):

@@ -13,6 +13,7 @@ from maqaoa import (
     prepare_plus_state,
     run_circuit,
 )
+from maqaoa.simulator import _LO_BITS
 from conftest import random_angles
 from oracles import dense_circuit, dense_expectation, fd_gradient, naive_expectation
 
@@ -315,3 +316,60 @@ def test_gradient_order_matches_flattening(triangle):
     assert grad.shape == (angles.size,)
     fd = fd_gradient(triangle, angles)
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
+
+
+# ----- the factored cost diagonal, above and across its index split -----
+
+def _split_graph(n: int) -> Graph:
+    """Edges inside the low _LO_BITS qubits, inside the high ones and across."""
+    b = _LO_BITS
+    low = [(0, 1), (2, 7), (3, b - 1)]
+    high = [(b, n - 1)] + ([(b + 1, b + 2), (b, n - 2)] if n - b > 3 else [])
+    cross = [(0, b), (b - 1, n - 1), (5, b + 1)] + ([(4, n - 2)] if n - b > 3 else [])
+    assert all(v < b for _, v in low) and all(u >= b for u, _ in high)
+    assert all(u < b <= v for u, v in cross)
+    return Graph(n, tuple(low + high + cross))
+
+
+SPLIT_GRAPHS = [
+    _split_graph(_LO_BITS + 2),
+    _split_graph(16),
+    Graph(_LO_BITS + 2),  # edgeless
+    Graph(1),
+]
+
+
+def _gate_by_gate(g: Graph, angles: AngleVector) -> np.ndarray:
+    state = prepare_plus_state(g.n)
+    for layer in range(angles.p):
+        for k, edge in enumerate(g.edges):
+            apply_cost_phase(state, edge, angles.gamma[layer, k])
+        for v in range(g.n):
+            apply_mixer_rotation(state, v, angles.beta[layer, v])
+    return state
+
+
+@pytest.mark.parametrize("g", SPLIT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_cut_values_match_per_edge_xor_count(g):
+    index = np.arange(1 << g.n)
+    naive = np.zeros(1 << g.n)
+    for u, v in g.edges:
+        naive += ((index >> u) ^ (index >> v)) & 1
+    np.testing.assert_array_equal(cut_values(g), naive)
+
+
+@pytest.mark.parametrize("g", SPLIT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_run_circuit_matches_gate_by_gate(g):
+    angles = random_angles(g, 2, seed=14)
+    np.testing.assert_allclose(
+        run_circuit(g, angles), _gate_by_gate(g, angles), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("g", [SPLIT_GRAPHS[0], SPLIT_GRAPHS[2], SPLIT_GRAPHS[3]],
+                         ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_gradient_matches_finite_differences_across_split(g):
+    angles = random_angles(g, 2, seed=15)
+    value, grad = expectation_and_gradient(g, angles)
+    assert abs(value - expectation(g, _gate_by_gate(g, angles))) < 1e-12
+    np.testing.assert_allclose(grad, fd_gradient(g, angles), rtol=1e-5, atol=1e-8)

@@ -89,6 +89,22 @@ def test_round_angles_within_pi16_of_normalized():
     assert np.max(np.abs(rounded.beta - norm.beta)) <= math.pi / 16 + 1e-12
 
 
+def test_round_angles_bitwise_equals_scalar_rule():
+    def reference(theta):
+        k = theta / PI8
+        return (math.floor(k + 0.5) if k >= 0 else math.ceil(k - 0.5)) * PI8
+
+    # halfway points round away from zero; small negatives give 0.0, not -0.0
+    halfway = (np.arange(-8, 8) + 0.5) * PI8
+    near_zero = [-1e-9, -0.19, 0.0, 0.19]
+    rng = np.random.default_rng(17)
+    angles = AngleVector(
+        [np.concatenate([halfway, near_zero])], [rng.uniform(-9, 9, 40)]
+    )
+    expected = [reference(t) for t in normalize_angles(angles).flatten()]
+    assert round_angles(angles).flatten().tobytes() == np.array(expected).tobytes()
+
+
 # ----- initializers -----
 
 def test_init_uniform_random_contract(k2):
