@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, max_degree_vertices
+from .graphs import Graph, _find, max_degree_vertices
 from .records import ExperimentRecord
 from .simulator import AngleVector
 from .strategies import (
@@ -244,16 +244,9 @@ def forest_check(
         for members in clusters:
             edges = tuple(g.edges[k] for k in members)
             parent = list(range(g.n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
             acyclic = True
             for u, v in edges:
-                ru, rv = find(u), find(v)
+                ru, rv = _find(parent, u), _find(parent, v)
                 if ru == rv:
                     acyclic = False
                     break

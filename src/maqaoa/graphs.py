@@ -84,11 +84,8 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
-def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (K1 is connected)."""
-    if g.n == 1:
-        return True
-    masks = _neighbor_masks(g)
+def _reachable(masks: list[int]) -> int:
+    """Bitmask of the vertices reachable from vertex 0, by breadth-first search."""
     seen = 1
     frontier = 1
     while frontier:
@@ -100,7 +97,20 @@ def is_connected(g: Graph) -> bool:
             reach |= masks[v]
         frontier = reach & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (K1 is connected)."""
+    return _reachable(_neighbor_masks(g)) == (1 << g.n) - 1
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def max_degree_vertices(g: Graph) -> list[int]:
@@ -218,20 +228,13 @@ def _canonical_order(n: int, adj: list[int]) -> list[int]:
             # automorphisms that fix the individualized vertices lead to
             # identical subtrees, so explore one representative
             parent = list(range(n))
-
-            def find(x: int) -> int:
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
             for a in autos:
                 if all(a[x] == x for x in fixed):
                     for w in range(n):
-                        rw, ra = find(w), find(a[w])
+                        rw, ra = _find(parent, w), _find(parent, a[w])
                         if rw != ra:
                             parent[rw] = ra
-            root = find(v)
+            root = _find(parent, v)
             if root in tried_roots:
                 continue
             tried_roots.add(root)
@@ -313,18 +316,7 @@ def _enumerate_connected(n: int) -> tuple[Graph, ...]:
                 masks[v] |= 1 << u
                 edges.append((u, v))
         # connectivity straight off the bitmasks, before any construction
-        seen = 1
-        frontier = 1
-        while frontier:
-            reach = 0
-            m = frontier
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                reach |= masks[w]
-            frontier = reach & ~seen
-            seen |= frontier
-        if seen != (1 << n) - 1:
+        if _reachable(masks) != (1 << n) - 1:
             continue
         g = Graph(n, tuple(edges))
         key = canonical_form(g)

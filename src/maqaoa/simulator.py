@@ -10,7 +10,9 @@ Conventions, fixed across the package:
   beta. The start state is the uniform superposition.
 * The edge phase gate multiplies every basis state whose endpoint bits
   differ by exp(-i*gamma). The vertex rotation is
-  [[cos(beta), -i*sin(beta)], [-i*sin(beta), cos(beta)]].
+  [[cos(beta), -i*sin(beta)], [-i*sin(beta), cos(beta)]]. A whole mixer
+  layer is applied in the Hadamard basis, as
+  exp(-i*sum_v beta_v X_v) = H^n diag(exp(-i*sum_v beta_v (1 - 2 z_v))) H^n.
 * Flattened parameter order is layer-major, gammas before betas inside a
   layer, each block in edge / vertex index order.
 
@@ -33,6 +35,9 @@ MAX_QUBITS = 24
 # the cost diagonal is kept factored over a split of the basis index into
 # its low _LO_BITS bits and the remaining high bits; see _CostTables
 _LO_BITS = 10
+
+# H^n is applied as one matmul per chunk of at most _WHT_BITS qubits
+_WHT_BITS = 6
 
 #: A statevector is a bare 1-D complex128 array of length 2^n.
 StateVector = np.ndarray
@@ -88,14 +93,16 @@ class AngleVector:
 
 @dataclass(frozen=True, eq=False)
 class _CostTables:
-    """A graph's cost diagonal, factored over a (2^a, 2^b) split of the index.
+    """A diagonal, factored over a (2^a, 2^b) split of the basis index.
 
     Basis index i is read as row i >> b (the high a = n - b bits) and column
     i & (2^b - 1) (the low b bits). `low` is (2^b, m) and `high` is (2^a, m),
-    one column per edge. An edge inside the low or the high bits is its cut
-    indicator in that table and zero in the other. An edge (u, v) with
-    u < b <= v holds z_u in `low` and z_v in `high`, and is listed in `cross`;
-    its cut indicator is z_u + z_v - 2 z_u z_v.
+    one column per term. For a graph's cost the terms are its edges: an edge
+    inside the low or the high bits is its cut indicator in that table and
+    zero in the other. An edge (u, v) with u < b <= v holds z_u in `low` and
+    z_v in `high`, and is listed in `cross`; its cut indicator is
+    z_u + z_v - 2 z_u z_v. For the mixer in the Hadamard basis the terms are
+    the vertices, each holding its spin 1 - 2 z_v, and none crosses.
     """
 
     low: np.ndarray
@@ -103,17 +110,36 @@ class _CostTables:
     cross: np.ndarray
 
     def phase(self, gammas: np.ndarray) -> np.ndarray:
-        """Sum of gamma_e over the edges cut by each basis state, flat 2^n."""
+        """Sum of gamma_e times term e of each basis state, flat 2^n."""
         phase = self.low @ gammas
-        # for n <= _LO_BITS, high is one all-zero row and no edge crosses
+        # for n <= _LO_BITS, high is one all-zero row and no term crosses
         if len(self.high) > 1:
-            c = self.cross
             phase = (self.high @ gammas)[:, None] + phase
-            phase += (self.high[:, c] * (-2.0 * gammas[c])) @ self.low[:, c].T
+            phase += self._cross_phase(gammas)
         return phase.ravel()
 
+    def _cross_phase(self, gammas: np.ndarray) -> np.ndarray:
+        c = self.cross
+        return (self.high[:, c] * (-2.0 * gammas[c])) @ self.low[:, c].T
+
+    def apply_phase(self, state: np.ndarray, gammas: np.ndarray, spare: np.ndarray) -> None:
+        """Multiply states in place by exp(-i * phase(gammas)).
+
+        `state` holds one or more 2^n states. The low and high parts are
+        per-column and per-row factors, so only crossing terms need a factor
+        per amplitude; those are built in `spare`, the size of one state.
+        """
+        view = state.reshape(-1, len(self.high), len(self.low))
+        view *= np.exp(-1j * (self.low @ gammas))
+        if len(self.high) > 1:
+            view *= np.exp(-1j * (self.high @ gammas))[:, None]
+            if len(self.cross):
+                factors = spare.reshape(view.shape[1:])
+                np.multiply(self._cross_phase(gammas), -1j, out=factors)
+                view *= np.exp(factors, out=factors)
+
     def contract(self, w: np.ndarray) -> np.ndarray:
-        """Per edge, the sum of a real 2^n vector over the states it cuts."""
+        """Per term, the sum of a real 2^n vector weighted by that term."""
         w = w.reshape(len(self.high), len(self.low))
         out = w.sum(axis=0) @ self.low
         if len(self.high) > 1:
@@ -123,15 +149,21 @@ class _CostTables:
         return out
 
 
-@lru_cache(maxsize=256)
-def _cost_tables(g: Graph) -> _CostTables:
-    b = min(g.n, _LO_BITS)
-    a = g.n - b
-    # column j is bit j of the row index
+def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bit tables of the index split: column j is bit j of the row index."""
+    b = min(n, _LO_BITS)
+    a = n - b
     z_low = (np.arange(1 << b)[:, None] >> np.arange(b)) & 1
     z_high = (np.arange(1 << a)[:, None] >> np.arange(a)) & 1
-    low = np.zeros((1 << b, g.edge_count))
-    high = np.zeros((1 << a, g.edge_count))
+    return z_low, z_high
+
+
+@lru_cache(maxsize=256)
+def _cost_tables(g: Graph) -> _CostTables:
+    z_low, z_high = _bits(g.n)
+    b = z_low.shape[1]
+    low = np.zeros((len(z_low), g.edge_count))
+    high = np.zeros((len(z_high), g.edge_count))
     cross = []
     for k, (u, v) in enumerate(g.edges):  # u < v
         if v < b:
@@ -143,6 +175,55 @@ def _cost_tables(g: Graph) -> _CostTables:
             high[:, k] = z_high[:, v - b]
             cross.append(k)
     return _CostTables(low, high, np.array(cross, dtype=np.intp))
+
+
+@lru_cache(maxsize=None)
+def _spin_tables(n: int) -> _CostTables:
+    """The mixer's diagonal in the Hadamard basis: vertex v holds 1 - 2 z_v."""
+    z_low, z_high = _bits(n)
+    b = z_low.shape[1]
+    low = np.zeros((len(z_low), n))
+    high = np.zeros((len(z_high), n))
+    low[:, :b] = 1 - 2 * z_low
+    high[:, b:] = 1 - 2 * z_high
+    return _CostTables(low, high, np.empty(0, dtype=np.intp))
+
+
+@lru_cache(maxsize=None)
+def _hadamard(k: int) -> np.ndarray:
+    """The normalized 2^k x 2^k Hadamard matrix: (-1)^popcount(i & j) / 2^(k/2)."""
+    h = np.ones((1, 1))
+    for _ in range(k):
+        h = np.block([[h, h], [h, -h]])
+    h *= 2.0 ** (-k / 2)
+    h.flags.writeable = False
+    return h
+
+
+def _transform(state: np.ndarray, spare: np.ndarray) -> None:
+    """Apply H^n to a 2^n state in place; `spare` is a work buffer of the same size.
+
+    The qubits go in ceil(n / _WHT_BITS) near-equal chunks, lowest first,
+    one matmul each, alternating between the two buffers. Above the lowest
+    chunk H is real and acts on whole rows, so it runs on the float view.
+    """
+    n = state.size.bit_length() - 1
+    chunks = -(-n // _WHT_BITS)
+    src, dst = state, spare
+    lo = 0
+    for c in range(chunks):
+        k = (n + c) // chunks  # near-equal sizes summing to n
+        h = _hadamard(k)
+        if lo:
+            shape = (-1, 1 << k, 2 << lo)  # float view: 2 doubles per amplitude
+            np.matmul(h, src.view(np.float64).reshape(shape),
+                      out=dst.view(np.float64).reshape(shape))
+        else:
+            np.matmul(src.reshape(-1, 1 << k), h, out=dst.reshape(-1, 1 << k))
+        src, dst = dst, src
+        lo += k
+    if src is not state:
+        state[:] = src
 
 
 @lru_cache(maxsize=256)
@@ -190,18 +271,12 @@ def apply_mixer_rotation(state: StateVector, vertex: int, beta: float) -> StateV
     n = _check_state(state)
     if not 0 <= vertex < n:
         raise ValueError(f"vertex {vertex} invalid for {n} qubits")
-    _rotate(state, vertex, beta)
-    return state
-
-
-def _rotate(state: np.ndarray, vertex: int, beta: float) -> None:
-    c = np.cos(beta)
-    s = np.sin(beta)
+    # pairs differing in bit v: (lo, hi) -> c*(lo, hi) - is*(hi, lo)
     view = state.reshape(-1, 2, 1 << vertex)
-    lo = view[:, 0, :].copy()
-    hi = view[:, 1, :]
-    view[:, 0, :] = c * lo - 1j * s * hi
-    view[:, 1, :] = c * hi - 1j * s * lo
+    flipped = view[:, ::-1, :] * (-1j * np.sin(beta))
+    view *= np.cos(beta)
+    view += flipped
+    return state
 
 
 def _check_angles(g: Graph, angles: AngleVector) -> None:
@@ -215,16 +290,22 @@ def _check_angles(g: Graph, angles: AngleVector) -> None:
         )
 
 
+def _forward(g: Graph, angles: AngleVector, psi: np.ndarray, spare: np.ndarray) -> None:
+    """Run the circuit on psi, which holds the plus state, in place."""
+    tables = _cost_tables(g)
+    spins = _spin_tables(g.n)
+    for layer in range(angles.p):
+        tables.apply_phase(psi, angles.gamma[layer], spare)
+        _transform(psi, spare)
+        spins.apply_phase(psi, angles.beta[layer], spare)
+        _transform(psi, spare)
+
+
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     """Full circuit: plus state, then per layer all edge phases, all rotations."""
     _check_angles(g, angles)
-    tables = _cost_tables(g)
     psi = prepare_plus_state(g.n)
-    for layer in range(angles.p):
-        if g.edge_count:
-            psi *= np.exp(-1j * tables.phase(angles.gamma[layer]))
-        for v in range(g.n):
-            _rotate(psi, v, angles.beta[layer, v])
+    _forward(g, angles, psi, np.empty_like(psi))
     return psi
 
 
@@ -245,37 +326,41 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
     exp(-i*t*G) commutes with its generator G and with the rest of its
     layer, so all of a layer's derivatives are read off at the layer
     boundary as 2*Im(<bra|G|ket>) before both states are stepped back.
+    The beta derivatives are read in the Hadamard basis, where X_v is the
+    diagonal 1 - 2 z_v.
     """
     _check_angles(g, angles)
     p = angles.p
     m = g.edge_count
     n = g.n
     tables = _cost_tables(g)
+    spins = _spin_tables(n)
     cuts = cut_values(g)
 
-    psi = run_circuit(g, angles)
-    probs = psi.real ** 2 + psi.imag ** 2
-    value = float(probs @ cuts)
+    pair = np.empty((2, 1 << n), dtype=np.complex128)
+    bra, ket = pair
+    ket[:] = prepare_plus_state(n)
+    spare = np.empty_like(ket)
+    _forward(g, angles, ket, spare)
+    np.multiply(cuts, ket, out=bra)
+    value = float(np.vdot(ket, bra).real)
 
-    bra = cuts * psi
-    ket = psi
     grad_gamma = np.empty((p, m), dtype=np.float64)
     grad_beta = np.empty((p, n), dtype=np.float64)
     for layer in reversed(range(p)):
-        for v in range(n):
-            # <bra|X_v|ket>: ket with bit v flipped
-            overlap = np.vdot(bra, ket.reshape(-1, 2, 1 << v)[:, ::-1, :])
-            grad_beta[layer, v] = 2.0 * overlap.imag
-        for v in range(n):
-            beta = angles.beta[layer, v]
-            _rotate(bra, v, -beta)
-            _rotate(ket, v, -beta)
+        _transform(bra, spare)
+        _transform(ket, spare)
+        # <bra|X_v|ket> = <H bra|Z_v|H ket>, Z_v = 1 - 2 z_v on every state
+        w = np.multiply(np.conjugate(bra, out=spare), ket, out=spare).imag
+        grad_beta[layer] = 2.0 * spins.contract(w)
+        spins.apply_phase(pair, -angles.beta[layer], spare)
+        _transform(bra, spare)
+        _transform(ket, spare)
         if m:
-            grad_gamma[layer] = 2.0 * tables.contract((np.conj(bra) * ket).imag)
+            w = np.multiply(np.conjugate(bra, out=spare), ket, out=spare).imag
+            grad_gamma[layer] = 2.0 * tables.contract(w)
             if layer:
                 # states below layer 0 are never read, skip the last undo
-                back = np.exp(1j * tables.phase(angles.gamma[layer]))
-                bra *= back
-                ket *= back
+                tables.apply_phase(pair, -angles.gamma[layer], spare)
     flat = np.hstack([grad_gamma, grad_beta]).ravel()
     return value, flat

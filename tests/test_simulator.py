@@ -13,7 +13,7 @@ from maqaoa import (
     prepare_plus_state,
     run_circuit,
 )
-from maqaoa.simulator import _LO_BITS
+from maqaoa.simulator import _LO_BITS, _transform
 from conftest import random_angles
 from oracles import dense_circuit, dense_expectation, fd_gradient, naive_expectation
 
@@ -331,11 +331,20 @@ def _split_graph(n: int) -> Graph:
     return Graph(n, tuple(low + high + cross))
 
 
+def _ring_graph(n: int) -> Graph:
+    """A cycle with a chord, so edges join every pair of adjacent qubits."""
+    return Graph(n, tuple((v, v + 1) for v in range(n - 1)) + ((0, n - 1), (1, n // 2)))
+
+
 SPLIT_GRAPHS = [
     _split_graph(_LO_BITS + 2),
     _split_graph(16),
     Graph(_LO_BITS + 2),  # edgeless
     Graph(1),
+    # the mixer's Hadamard transform in one, two and three chunks
+    _ring_graph(6),
+    _ring_graph(7),
+    _split_graph(13),
 ]
 
 
@@ -366,10 +375,27 @@ def test_run_circuit_matches_gate_by_gate(g):
     )
 
 
-@pytest.mark.parametrize("g", [SPLIT_GRAPHS[0], SPLIT_GRAPHS[2], SPLIT_GRAPHS[3]],
+@pytest.mark.parametrize("g", [SPLIT_GRAPHS[i] for i in (0, 2, 3, 5)],
                          ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_gradient_matches_finite_differences_across_split(g):
     angles = random_angles(g, 2, seed=15)
     value, grad = expectation_and_gradient(g, angles)
     assert abs(value - expectation(g, _gate_by_gate(g, angles))) < 1e-12
     np.testing.assert_allclose(grad, fd_gradient(g, angles), rtol=1e-5, atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 13])
+def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
+    rng = np.random.default_rng(16)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    spare = np.empty_like(state)
+    once = state.copy()
+    _transform(once, spare)
+    if n <= 7:
+        dense = np.ones((1, 1))
+        for _ in range(n):
+            dense = np.kron(dense, [[1, 1], [1, -1]]) / np.sqrt(2)
+        np.testing.assert_allclose(once, dense @ state, rtol=0, atol=1e-12)
+    twice = once.copy()
+    _transform(twice, spare)
+    np.testing.assert_allclose(twice, state, rtol=0, atol=1e-12)
