@@ -318,8 +318,136 @@ def expectation(g: Graph, state: StateVector) -> float:
     return float(probs @ cut_values(g))
 
 
+@dataclass(frozen=True, eq=False)
+class _LightCone:
+    """The expected cut size at p = 1 in closed form, with its gradient.
+
+    Write c_x = cos 2 beta_x, s_x = sin 2 beta_x and N(x) for the neighbours
+    of x. Edge (u, v) contributes <C_uv> = 1/2 - 1/2 <+|U^+ Z_u Z_v U|+>,
+    with U = e^{-i sum beta X} e^{-i sum gamma C}, read in two steps:
+
+    1. The mixer turns Z_x into e^{i beta_x X_x} Z_x e^{-i beta_x X_x}
+       = c_x Z_x + s_x Y_x, so Z_u Z_v becomes four Pauli products.
+    2. The cost layer is diagonal: it leaves Z alone and turns Y_x into
+       Y_x prod_{w in N(x)} e^{i gamma_xw Z_x Z_w}. Expand each exponential
+       as cos + i sin Z Z and keep the products that reduce to X strings,
+       the only Paulis with a nonzero mean on |+>. Z_u Z_v gives none;
+       Z_u Y_v needs the sine of gamma_uv, so its mean is
+       -sin gamma_uv prod_{w in N(v) - u} cos gamma_vw. Y_u Y_v commutes
+       with edge (u, v) and needs Z_u Z_v once more: an odd number of
+       sines from the common neighbours D = N(u) & N(v), paired per w as
+       -sin gamma_uw sin gamma_vw, and cosines elsewhere.
+
+    So, with N[x] = N(x) + x,
+
+        <C_uv> = 1/2 + 1/2 sin gamma_uv (c_u s_v prod_{w in N(v) - u} cos gamma_vw
+                                         + s_u c_v prod_{w in N(u) - v} cos gamma_uw)
+                 + 1/4 s_u s_v prod_{w in N(u) - N[v]} cos gamma_uw
+                               prod_{w in N(v) - N[u]} cos gamma_vw
+                   (prod_{w in D} cos(gamma_uw + gamma_vw)
+                    - prod_{w in D} cos(gamma_uw - gamma_vw)),
+
+    the formula of Herrman et al. 2022 (Sci. Rep. 12:6781), which reduces to
+    that of Wang et al. 2018 (PRA 97:022304) at uniform angles.
+
+    Every term is coef times a product of factors cos(lift @ theta + shift),
+    theta the flat [gamma, beta] vector; a sine has shift -pi/2. Row t of
+    `index` lists term t's factors, padded with len(shift), a factor fixed
+    at 1. The derivative of a product takes the product of the other
+    factors from prefix and suffix products, never a division: the pi/8
+    starts put cosines at zero.
+    """
+
+    lift: np.ndarray  # (factors, m + n)
+    shift: np.ndarray  # (factors,)
+    index: np.ndarray  # (terms, width)
+    coef: np.ndarray  # (terms,)
+    offset: float  # m / 2
+
+    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+        arg = self.lift @ theta + self.shift
+        factors = np.ones(len(arg) + 1)
+        np.cos(arg, out=factors[:-1])
+        x = factors[self.index]
+        terms, width = x.shape
+        before = np.ones((terms, width + 1))  # before[:, j]: product of x[:, :j]
+        np.cumprod(x, axis=1, out=before[:, 1:])
+        after = np.ones((terms, width + 1))  # after[:, j]: product of x[:, j:]
+        np.cumprod(x[:, ::-1], axis=1, out=after[:, width - 1::-1])
+        value = self.offset + self.coef @ before[:, width]
+        others = before[:, :width] * after[:, 1:] * self.coef[:, None]
+        weight = np.bincount(self.index.ravel(), others.ravel(), len(factors))[:-1]
+        return float(value), (weight * -np.sin(arg)) @ self.lift
+
+
+@lru_cache(maxsize=256)
+def _light_cone(g: Graph) -> _LightCone:
+    m = g.edge_count
+    edge_at = {}
+    neighbours = [set() for _ in range(g.n)]
+    for k, (u, v) in enumerate(g.edges):
+        edge_at[u, v] = edge_at[v, u] = k
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    rows: dict[tuple, int] = {}  # (shift, (column, weight) pairs) -> factor
+
+    def factor(shift: float, *columns: tuple[int, float]) -> int:
+        return rows.setdefault((shift, columns), len(rows))
+
+    def cos_gammas(x: int, ws) -> list[int]:
+        return [factor(0.0, (edge_at[x, w], 1.0)) for w in sorted(ws)]
+
+    def cos_beta(x: int) -> int:
+        return factor(0.0, (m + x, 2.0))
+
+    def sin_beta(x: int) -> int:
+        return factor(-np.pi / 2, (m + x, 2.0))
+
+    terms = []  # (coef, factors)
+    for k, (u, v) in enumerate(g.edges):
+        sin_gamma = factor(-np.pi / 2, (k, 1.0))
+        terms.append((0.5, [sin_gamma, cos_beta(u), sin_beta(v)]
+                      + cos_gammas(v, neighbours[v] - {u})))
+        terms.append((0.5, [sin_gamma, sin_beta(u), cos_beta(v)]
+                      + cos_gammas(u, neighbours[u] - {v})))
+        common = sorted(neighbours[u] & neighbours[v])
+        if common:
+            outer = ([sin_beta(u), sin_beta(v)]
+                     + cos_gammas(u, neighbours[u] - neighbours[v] - {v})
+                     + cos_gammas(v, neighbours[v] - neighbours[u] - {u}))
+            for sign in (1.0, -1.0):
+                pairs = [factor(0.0, (edge_at[u, w], 1.0), (edge_at[v, w], sign))
+                         for w in common]
+                terms.append((0.25 * sign, outer + pairs))
+
+    lift = np.zeros((len(rows), m + g.n))
+    shift = np.empty(len(rows))
+    for (phase, columns), f in rows.items():
+        shift[f] = phase
+        for column, weight in columns:
+            lift[f, column] = weight
+    width = max((len(fs) for _, fs in terms), default=1)
+    index = np.full((len(terms), width), len(rows), dtype=np.intp)
+    for t, (_, fs) in enumerate(terms):
+        index[t, :len(fs)] = fs
+    coef = np.array([c for c, _ in terms])
+    return _LightCone(lift, shift, index, coef, m / 2)
+
+
 def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     """Expected cut size and its gradient in flattened angle order.
+
+    One layer is evaluated in closed form (see _LightCone), deeper circuits
+    by the adjoint statevector sweep (see _adjoint).
+    """
+    _check_angles(g, angles)
+    if angles.p == 1:
+        return _light_cone(g).evaluate(angles.flatten())
+    return _adjoint(g, angles)
+
+
+def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
+    """expectation_and_gradient on the statevector, for any number of layers.
 
     The gradient is computed by reverse-mode (adjoint) differentiation: one
     forward pass, then a backward sweep holding two states. Every gate
@@ -329,7 +457,6 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
     The beta derivatives are read in the Hadamard basis, where X_v is the
     diagonal 1 - 2 z_v.
     """
-    _check_angles(g, angles)
     p = angles.p
     m = g.edge_count
     n = g.n

@@ -8,6 +8,7 @@ code paths with the package, so agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy.linalg import expm
@@ -94,6 +95,34 @@ def fd_gradient(g: Graph, angles: AngleVector, h: float = 1e-6) -> np.ndarray:
         minus[i] -= h
         grad[i] = (value(plus) - value(minus)) / (2 * h)
     return grad
+
+
+def uniform_p1_expectation(g: Graph, gamma: float, beta: float) -> float:
+    """<C> at p = 1 with one shared gamma and beta, by the formula of
+    Wang, Hadfield, Jiang & Rieffel 2018 (PRA 97:022304).
+
+    Per edge (u, v), with d_u, d_v the other neighbours of each endpoint
+    and lam the triangles on the edge:
+    1/2 + 1/4 sin 4b sin g (cos^d_u g + cos^d_v g)
+        - 1/4 sin^2 2b cos^(d_u + d_v - 2 lam) g (1 - cos^lam 2g).
+    """
+    neighbours = {v: set() for v in range(g.n)}
+    for u, v in g.edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    total = 0.0
+    for u, v in g.edges:
+        d_u = len(neighbours[u]) - 1
+        d_v = len(neighbours[v]) - 1
+        lam = len(neighbours[u] & neighbours[v])
+        total += (
+            0.5
+            + 0.25 * math.sin(4 * beta) * math.sin(gamma)
+            * (math.cos(gamma) ** d_u + math.cos(gamma) ** d_v)
+            - 0.25 * math.sin(2 * beta) ** 2 * math.cos(gamma) ** (d_u + d_v - 2 * lam)
+            * (1 - math.cos(2 * gamma) ** lam)
+        )
+    return total
 
 
 def brute_canonical(g: Graph) -> tuple:

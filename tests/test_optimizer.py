@@ -116,9 +116,10 @@ def test_trace_monotone_and_consistent(triangle):
 
 
 def test_final_value_matches_reevaluation(c4):
-    result = optimize_angles(c4, random_angles(c4, 2, seed=22))
-    direct = expectation(c4, run_circuit(c4, result.final_angles))
-    assert abs(result.final_value - direct) < 1e-10
+    for p in (1, 2):
+        result = optimize_angles(c4, random_angles(c4, p, seed=22))
+        direct = expectation(c4, run_circuit(c4, result.final_angles))
+        assert abs(result.final_value - direct) < 1e-10
 
 
 def test_converged_implies_small_gradient(path4):

@@ -8,14 +8,21 @@ from maqaoa import (
     apply_cost_phase,
     apply_mixer_rotation,
     cut_values,
+    enumerate_connected,
     expectation,
     expectation_and_gradient,
     prepare_plus_state,
     run_circuit,
 )
-from maqaoa.simulator import _LO_BITS, _transform
+from maqaoa.simulator import _LO_BITS, _adjoint, _transform
 from conftest import random_angles
-from oracles import dense_circuit, dense_expectation, fd_gradient, naive_expectation
+from oracles import (
+    dense_circuit,
+    dense_expectation,
+    fd_gradient,
+    naive_expectation,
+    uniform_p1_expectation,
+)
 
 
 # ----- AngleVector -----
@@ -295,6 +302,7 @@ def test_gradient_matches_finite_differences():
         (Graph(3, ((0, 1), (1, 2))), 2),
         (Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3))), 2),
         (Graph(5, ((0, 1), (0, 2), (1, 2), (2, 3), (3, 4))), 3),
+        (Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))), 1),
     ]
     for g, p in cases:
         angles = random_angles(g, p, int(rng.integers(1 << 31)))
@@ -375,10 +383,12 @@ def test_run_circuit_matches_gate_by_gate(g):
     )
 
 
-@pytest.mark.parametrize("g", [SPLIT_GRAPHS[i] for i in (0, 2, 3, 5)],
-                         ids=lambda g: f"n{g.n}m{g.edge_count}")
-def test_gradient_matches_finite_differences_across_split(g):
-    angles = random_angles(g, 2, seed=15)
+@pytest.mark.parametrize("g, p", [
+    pytest.param(g, p, id=f"n{g.n}m{g.edge_count}" + ("-p1" if p == 1 else ""))
+    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5))
+])
+def test_gradient_matches_finite_differences_across_split(g, p):
+    angles = random_angles(g, p, seed=15)
     value, grad = expectation_and_gradient(g, angles)
     assert abs(value - expectation(g, _gate_by_gate(g, angles))) < 1e-12
     np.testing.assert_allclose(grad, fd_gradient(g, angles), rtol=1e-5, atol=1e-8)
@@ -399,3 +409,45 @@ def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
     twice = once.copy()
     _transform(twice, spare)
     np.testing.assert_allclose(twice, state, rtol=0, atol=1e-12)
+
+
+# ----- the closed form at one layer -----
+
+def _pi8_angles(g: Graph, seed: int) -> AngleVector:
+    """Random pi/8 multiples, with some gammas at +-pi/2 and betas at +-pi/4,
+    where the closed form's cosine factors vanish."""
+    rng = np.random.default_rng(seed)
+    gamma = rng.integers(-8, 8, (1, g.edge_count)) * np.pi / 8
+    beta = rng.integers(-8, 8, (1, g.n)) * np.pi / 8
+    gamma[0, ::2] = rng.choice([-np.pi / 2, np.pi / 2], gamma[0, ::2].shape)
+    beta[0, ::3] = rng.choice([-np.pi / 4, np.pi / 4], beta[0, ::3].shape)
+    return AngleVector(gamma, beta)
+
+
+P1_GRAPHS = (
+    enumerate_connected(4)
+    + enumerate_connected(5)
+    + [Graph(6, tuple((u, v) for u in range(6) for v in range(u + 1, 6)))]  # K6
+    + SPLIT_GRAPHS
+)
+
+
+@pytest.mark.parametrize("g", P1_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_one_layer_closed_form_matches_adjoint(g):
+    for seed in range(3):
+        for angles in (random_angles(g, 1, seed=17 + seed), _pi8_angles(g, seed)):
+            value, grad = expectation_and_gradient(g, angles)
+            ref_value, ref_grad = _adjoint(g, angles)
+            assert abs(value - ref_value) < 1e-12
+            assert grad.shape == ref_grad.shape
+            np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+
+def test_uniform_angles_match_single_angle_formula():
+    rng = np.random.default_rng(18)
+    for n in range(1, 6):
+        for g in enumerate_connected(n):
+            for gamma, beta in rng.uniform(-np.pi, np.pi, (3, 2)):
+                angles = AngleVector(np.full((1, g.edge_count), gamma), np.full((1, g.n), beta))
+                value, _ = expectation_and_gradient(g, angles)
+                assert abs(value - uniform_p1_expectation(g, gamma, beta)) < 1e-12
