@@ -183,31 +183,29 @@ def ar_difference_histogram(
     )
 
 
+def report_key(record: ExperimentRecord) -> tuple[int, int, int]:
+    """(n, p, strategy rank): the row order of every per-strategy table."""
+    if record.strategy not in STRATEGY_KINDS:
+        raise ValueError(f"unknown strategy {record.strategy!r}")
+    return (record.n, record.p, STRATEGY_KINDS.index(record.strategy))
+
+
 def aggregate_table(records) -> list[AggregateRow]:
     """Mean and population std of final AR, grouped by (n, p, strategy)."""
     records = _require_records(records)
-    groups: dict[tuple[int, int, str], list[ExperimentRecord]] = {}
+    groups: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
     for r in records:
-        groups.setdefault((r.n, r.p, r.strategy), []).append(r)
-
-    def sort_key(key):
-        n, p, strategy = key
-        rank = (
-            STRATEGY_KINDS.index(strategy)
-            if strategy in STRATEGY_KINDS
-            else len(STRATEGY_KINDS)
-        )
-        return (n, p, rank, strategy)
+        groups.setdefault(report_key(r), []).append(r)
 
     rows = []
-    for key in sorted(groups, key=sort_key):
-        n, p, strategy = key
+    for key in sorted(groups):
+        n, p, rank = key
         ars = np.array([r.final_ar for r in groups[key]], dtype=np.float64)
         rows.append(
             AggregateRow(
                 n=n,
                 p=p,
-                strategy=strategy,
+                strategy=STRATEGY_KINDS[rank],
                 mean_ar=float(ars.mean()),
                 std_ar=float(ars.std()),
                 graph_count=len({r.graph_id for r in groups[key]}),

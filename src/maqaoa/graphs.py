@@ -24,6 +24,8 @@ from .errors import CapacityError, GenerationError
 MAX_VERTICES = 24
 MAX_ENUM_VERTICES = 6
 MAX_CANON_VERTICES = 12
+# connected isomorphism classes on 1..MAX_ENUM_VERTICES vertices (OEIS A001349)
+_CONNECTED_CLASSES = (1, 1, 2, 6, 21, 112)
 
 
 @dataclass(frozen=True)
@@ -355,7 +357,7 @@ def random_nonisomorphic_connected(n: int, count: int, seed: int) -> list[Graph]
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if n <= MAX_ENUM_VERTICES:
-        available = len(_enumerate_connected(n))
+        available = _CONNECTED_CLASSES[n - 1]
         if count > available:
             raise GenerationError(
                 f"only {available} connected isomorphism classes exist on "

@@ -15,7 +15,7 @@ import contextlib
 import csv
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .analysis import (
@@ -24,6 +24,7 @@ from .analysis import (
     ar_difference_histogram,
     forest_check,
     max_degree_zero_fraction,
+    report_key,
     HISTOGRAM_BIN_LEFT_EDGES,
 )
 from .graphs import (
@@ -33,7 +34,6 @@ from .graphs import (
     read_edge_list,
     read_graph6,
 )
-from .optimizer import OptimizerConfig
 from .records import CSV_HEADER, ExperimentRecord, format_float
 from .strategies import STRATEGY_KINDS, StrategySpec, run_strategy
 
@@ -47,7 +47,6 @@ class RunConfig:
     strategies: tuple[str, ...] = STRATEGY_KINDS
     replicates: int = 1
     seed: int = 0
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     out_dir: str | None = None
     threads: int = 1
 
@@ -123,9 +122,7 @@ def _graph_records(g: Graph, config: RunConfig) -> list[ExperimentRecord]:
                 seed = derive_seed(config.seed, g.id, kind, p, replicate)
                 spec = StrategySpec(kind=kind, seed=seed, p=p)
                 prior = normal_record if spec.requires_prior else None
-                record = run_strategy(
-                    g, spec, config.optimizer, prior=prior, replicate=replicate
-                )
+                record = run_strategy(g, spec, prior=prior, replicate=replicate)
                 if kind == "normal":
                     normal_record = record
                 records.append(record)
@@ -179,14 +176,20 @@ def read_records(path) -> list[ExperimentRecord]:
         header = next(reader, None)
         if header != list(CSV_HEADER):
             raise ValueError(f"unexpected header in {path}: {header}")
-        records = [ExperimentRecord.from_row(row) for row in reader if row]
+        records = []
+        for row in reader:
+            if not row:
+                continue
+            record = ExperimentRecord.from_row(row)
+            if record.strategy not in STRATEGY_KINDS:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: "
+                    f"unknown strategy {record.strategy!r}"
+                )
+            records.append(record)
     if not records:
         raise ValueError(f"no records in {path}")
     return records
-
-
-def _group_key(record: ExperimentRecord) -> tuple[int, int, int, str]:
-    return (record.n, record.p, STRATEGY_KINDS.index(record.strategy), record.strategy)
 
 
 def report(records_path, out_dir) -> list[Path]:
@@ -226,9 +229,9 @@ def report(records_path, out_dir) -> list[Path]:
         ),
     )
 
-    groups: dict[tuple[int, int, int, str], list[ExperimentRecord]] = {}
+    groups: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
     for record in records:
-        groups.setdefault(_group_key(record), []).append(record)
+        groups.setdefault(report_key(record), []).append(record)
     ordered = [groups[k] for k in sorted(groups)]
 
     concentration_rows = []

@@ -17,43 +17,45 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from typing import Generic, TypeVar
 
 import numpy as np
 
 from .errors import NumericalError
 from .simulator import AngleVector, expectation_and_gradient
 
+#: A run converges once the gradient's infinity norm drops below this.
+GRADIENT_TOLERANCE = 1e-6
+# strong Wolfe constants, the standard quasi-Newton values (Nocedal & Wright,
+# Numerical Optimization, section 3.1)
+_C1 = 1e-4
+_C2 = 0.9
+_MAX_LINE_SEARCH_STEPS = 50  # objective evaluations per line search
+_CURVATURE_SKIP = 1e-10
+
+Point = TypeVar("Point")
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    gradient_tolerance: float = 1e-6
     max_iterations: int = 1000
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    max_line_search_steps: int = 50
 
     def __post_init__(self) -> None:
-        if not 0 < self.wolfe_c1 < self.wolfe_c2 < 1:
-            raise ValueError(
-                f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}"
-            )
-        if self.gradient_tolerance <= 0:
-            raise ValueError("gradient_tolerance must be positive")
-        if self.max_iterations < 1 or self.max_line_search_steps < 1:
-            raise ValueError("iteration caps must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
 @dataclass
-class OptimizationResult:
+class OptimizationResult(Generic[Point]):
     """Outcome of a maximization run.
 
-    final_angles holds an AngleVector when produced by optimize_angles and a
-    flat parameter array when produced directly by bfgs_maximize. The trace
-    lists the objective value at the start point and after every accepted
-    iteration, so it is non-decreasing.
+    final_angles is the best point reached: a flat array from bfgs_maximize
+    and an AngleVector from optimize_angles. The trace lists the objective
+    value at the start point and after every accepted iteration, so it is
+    non-decreasing.
     """
 
-    final_angles: object
+    final_angles: Point
     final_value: float
     iterations: int
     function_evaluations: int
@@ -100,11 +102,7 @@ def _quad_min(a, fa, fpa, b, fb):
     return float(xmin)
 
 
-def _zoom(
-    fun, x, d, phi0, derphi0,
-    a_lo, phi_lo, derphi_lo, a_hi, phi_hi,
-    budget, c1, c2,
-):
+def _zoom(line, phi0, derphi0, a_lo, phi_lo, derphi_lo, a_hi, phi_hi, budget):
     """Shrink [a_lo, a_hi] to a strong Wolfe point; a_lo always has the
     lowest value seen that satisfies the decrease condition."""
     delta1 = 0.2  # cubic interpolant safeguard
@@ -112,7 +110,7 @@ def _zoom(
     phi_rec = phi0
     a_rec = 0.0
     first = True
-    while budget[0] > 0:
+    while budget > 0:
         dalpha = a_hi - a_lo
         if dalpha == 0:
             return None
@@ -127,16 +125,15 @@ def _zoom(
             if a_j is None or a_j > b - qchk or a_j < a + qchk:
                 a_j = a_lo + 0.5 * dalpha
         first = False
-        budget[0] -= 1
-        phi_aj, grad_aj = fun(x + a_j * d)
-        if phi_aj > phi0 + c1 * a_j * derphi0 or phi_aj >= phi_lo:
+        budget -= 1
+        phi_aj, derphi_aj, grad_aj = line(a_j)
+        if phi_aj > phi0 + _C1 * a_j * derphi0 or phi_aj >= phi_lo:
             phi_rec = phi_hi
             a_rec = a_hi
             a_hi = a_j
             phi_hi = phi_aj
         else:
-            derphi_aj = float(np.dot(grad_aj, d))
-            if abs(derphi_aj) <= -c2 * derphi0:
+            if abs(derphi_aj) <= -_C2 * derphi0:
                 return a_j, phi_aj, grad_aj
             if derphi_aj * (a_hi - a_lo) >= 0:
                 phi_rec = phi_hi
@@ -152,7 +149,7 @@ def _zoom(
     return None
 
 
-def _refine_step(fun, x, d, phi0, derphi0, alpha, phi_a, budget, c1, c2):
+def _refine_step(line, phi0, derphi0, alpha, phi_a, budget):
     """Probe the quadratic-model minimizer past an already acceptable step.
 
     A step can satisfy both Wolfe conditions while still far from the line
@@ -160,86 +157,76 @@ def _refine_step(fun, x, d, phi0, derphi0, alpha, phi_a, budget, c1, c2):
     the restriction is close to quadratic. Returns the probed step only if
     it also satisfies both conditions and improves on the accepted value.
     """
-    if budget[0] <= 0:
+    if budget <= 0:
         return None
     a_q = _quad_min(0.0, phi0, derphi0, alpha, phi_a)
     if a_q is None or not 0.0 < a_q <= 10.0 * alpha:
         return None
     if abs(a_q - alpha) <= 1e-9 * alpha:
         return None
-    budget[0] -= 1
-    phi_q, grad_q = fun(x + a_q * d)
-    derphi_q = float(np.dot(grad_q, d))
+    phi_q, derphi_q, grad_q = line(a_q)
     if (
-        phi_q <= phi0 + c1 * a_q * derphi0
-        and abs(derphi_q) <= -c2 * derphi0
+        phi_q <= phi0 + _C1 * a_q * derphi0
+        and abs(derphi_q) <= -_C2 * derphi0
         and phi_q < phi_a
     ):
         return a_q, phi_q, grad_q
     return None
 
 
-def _line_search(fun, x, d, phi0, derphi0, alpha1, c1, c2, max_steps):
+def _line_search(line, phi0, derphi0, alpha1):
     """Bracketing phase of the strong Wolfe search.
 
-    fun maps a point to (value, gradient). Returns (alpha, value, gradient)
-    or None when no acceptable step was found within max_steps evaluations.
+    line maps a step length alpha to (value, slope, gradient) at that point
+    of the search line. Returns (alpha, value, gradient), or None when no
+    acceptable step was found within _MAX_LINE_SEARCH_STEPS evaluations.
     """
-    budget = [max_steps]
+    budget = _MAX_LINE_SEARCH_STEPS
     alpha_prev = 0.0
     phi_prev = phi0
     derphi_prev = derphi0
     alpha = alpha1
     first = True
-    while budget[0] > 0:
-        budget[0] -= 1
-        phi_a, grad_a = fun(x + alpha * d)
-        derphi_a = float(np.dot(grad_a, d))
-        if phi_a > phi0 + c1 * alpha * derphi0 or (phi_a >= phi_prev and not first):
-            return _zoom(
-                fun, x, d, phi0, derphi0,
-                alpha_prev, phi_prev, derphi_prev, alpha, phi_a,
-                budget, c1, c2,
-            )
-        if abs(derphi_a) <= -c2 * derphi0:
-            refined = _refine_step(fun, x, d, phi0, derphi0, alpha, phi_a, budget, c1, c2)
-            if refined is not None:
-                return refined
-            return alpha, phi_a, grad_a
+    while budget > 0:
+        budget -= 1
+        phi_a, derphi_a, grad_a = line(alpha)
+        if phi_a > phi0 + _C1 * alpha * derphi0 or (phi_a >= phi_prev and not first):
+            return _zoom(line, phi0, derphi0, alpha_prev, phi_prev, derphi_prev,
+                         alpha, phi_a, budget)
+        if abs(derphi_a) <= -_C2 * derphi0:
+            refined = _refine_step(line, phi0, derphi0, alpha, phi_a, budget)
+            return refined or (alpha, phi_a, grad_a)
         if derphi_a >= 0:
-            return _zoom(
-                fun, x, d, phi0, derphi0,
-                alpha, phi_a, derphi_a, alpha_prev, phi_prev,
-                budget, c1, c2,
-            )
+            return _zoom(line, phi0, derphi0, alpha, phi_a, derphi_a,
+                         alpha_prev, phi_prev, budget)
         alpha_prev, phi_prev, derphi_prev = alpha, phi_a, derphi_a
         alpha *= 2.0
         first = False
     return None
 
 
-_CURVATURE_SKIP = 1e-10
-
-
-def bfgs_maximize(objective, start, config: OptimizerConfig | None = None) -> OptimizationResult:
+def bfgs_maximize(
+    objective, start, config: OptimizerConfig | None = None
+) -> OptimizationResult[np.ndarray]:
     """Maximize a smooth function with BFGS.
 
     Args:
         objective: callable mapping a flat float array to
             (value, gradient), both for the function being maximized.
         start: initial parameter vector.
-        config: tolerances and iteration caps.
+        config: the iteration cap.
 
     Returns:
         OptimizationResult whose final_angles field holds the flat
         parameter array of the best point reached. converged is True only
-        when the gradient infinity norm dropped below the tolerance.
+        when the gradient infinity norm dropped below GRADIENT_TOLERANCE.
     """
     cfg = config or OptimizerConfig()
-    calls = [0]
+    calls = 0
 
     def neg(z):
-        calls[0] += 1
+        nonlocal calls
+        calls += 1
         value, grad = objective(z)
         grad = np.asarray(grad, dtype=np.float64)
         if not np.isfinite(value) or not np.all(np.isfinite(grad)):
@@ -258,7 +245,7 @@ def bfgs_maximize(objective, start, config: OptimizerConfig | None = None) -> Op
     old_f = f + float(np.linalg.norm(g)) / 2
 
     for _ in range(cfg.max_iterations):
-        if float(np.max(np.abs(g))) < cfg.gradient_tolerance:
+        if float(np.max(np.abs(g))) < GRADIENT_TOLERANCE:
             converged = True
             break
         direction = -g if H is None else -(H @ g)
@@ -271,15 +258,14 @@ def bfgs_maximize(objective, start, config: OptimizerConfig | None = None) -> Op
             if derphi0 == 0.0:
                 converged = True
                 break
-        alpha1 = 1.0
-        if old_f is not None:
-            guess = 1.01 * 2 * (f - old_f) / derphi0
-            if guess > 0:
-                alpha1 = min(1.0, guess)
-        found = _line_search(
-            neg, x, direction, f, derphi0, alpha1,
-            cfg.wolfe_c1, cfg.wolfe_c2, cfg.max_line_search_steps,
-        )
+        guess = 1.01 * 2 * (f - old_f) / derphi0
+        alpha1 = min(1.0, guess) if guess > 0 else 1.0
+
+        def line(alpha):
+            phi, grad = neg(x + alpha * direction)
+            return phi, float(np.dot(grad, direction)), grad
+
+        found = _line_search(line, f, derphi0, alpha1)
         if found is None:
             break
         alpha, f_new, g_new = found
@@ -304,13 +290,15 @@ def bfgs_maximize(objective, start, config: OptimizerConfig | None = None) -> Op
         final_angles=x,
         final_value=-f,
         iterations=iterations,
-        function_evaluations=calls[0],
+        function_evaluations=calls,
         converged=converged,
         trace=trace,
     )
 
 
-def optimize_angles(g, start: AngleVector, config: OptimizerConfig | None = None) -> OptimizationResult:
+def optimize_angles(
+    g, start: AngleVector, config: OptimizerConfig | None = None
+) -> OptimizationResult[AngleVector]:
     """Maximize the expected cut of the circuit on graph g over its angles.
 
     Parameters are unconstrained; periodicity makes any representative
@@ -325,5 +313,5 @@ def optimize_angles(g, start: AngleVector, config: OptimizerConfig | None = None
         return expectation_and_gradient(g, AngleVector.unflatten(flat, p, m, nv))
 
     result = bfgs_maximize(objective, start.flatten(), config)
-    final = AngleVector.unflatten(np.asarray(result.final_angles), p, m, nv)
+    final = AngleVector.unflatten(result.final_angles, p, m, nv)
     return dataclasses.replace(result, final_angles=final)

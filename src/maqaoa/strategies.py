@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, max_cut, max_degree_vertices
-from .optimizer import OptimizationResult, OptimizerConfig, optimize_angles
+from .optimizer import optimize_angles
 from .records import ExperimentRecord
 from .simulator import AngleVector, expectation, run_circuit
 
@@ -58,7 +58,7 @@ class StrategySpec:
 
 def normalize_angle(theta: float) -> float:
     """Map an angle to [-pi, pi); +pi lands on -pi."""
-    return theta - 2.0 * math.pi * math.floor((theta + math.pi) / (2.0 * math.pi))
+    return float(_normalize_array(theta))
 
 
 def _normalize_array(values: np.ndarray) -> np.ndarray:
@@ -131,26 +131,18 @@ def init_max_degree_zero(g: Graph, p: int, seed: int) -> AngleVector:
     return AngleVector(gamma, beta)
 
 
-def _prior_angles(g: Graph, p: int, prior) -> AngleVector:
-    if isinstance(prior, ExperimentRecord):
-        if prior.p != p or prior.n != g.n or prior.edge_count != g.edge_count:
-            raise ValueError("prior record does not match this graph and depth")
-        return prior.angle_vector()
-    if isinstance(prior, OptimizationResult) and isinstance(
-        prior.final_angles, AngleVector
-    ):
-        return prior.final_angles
-    raise ValueError(
-        "rounded_no_opt needs a prior normal result "
-        "(ExperimentRecord or OptimizationResult)"
-    )
+def _prior_angles(g: Graph, p: int, prior: ExperimentRecord | None) -> AngleVector:
+    if prior is None:
+        raise ValueError("rounded_no_opt needs the prior normal record")
+    if prior.p != p or prior.n != g.n or prior.edge_count != g.edge_count:
+        raise ValueError("prior record does not match this graph and depth")
+    return prior.angle_vector()
 
 
 def run_strategy(
     g: Graph,
     spec: StrategySpec,
-    config: OptimizerConfig | None = None,
-    prior=None,
+    prior: ExperimentRecord | None = None,
     replicate: int = 0,
 ) -> ExperimentRecord:
     """Execute one strategy on one graph and package the outcome.
@@ -174,7 +166,7 @@ def run_strategy(
             start = init_random_pi8(g, spec.p, spec.seed)
         else:
             start = init_max_degree_zero(g, spec.p, spec.seed)
-        result = optimize_angles(g, start, config)
+        result = optimize_angles(g, start)
         final = normalize_angles(result.final_angles)
         initial_value = result.trace[0]
         final_value = result.final_value

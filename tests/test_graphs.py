@@ -217,6 +217,8 @@ def test_random_generation_is_deterministic():
 def test_random_generation_exhaustion():
     with pytest.raises(GenerationError):
         random_nonisomorphic_connected(3, 3, seed=0)
+    with pytest.raises(GenerationError):
+        random_nonisomorphic_connected(6, 113, seed=0)
 
 
 def test_random_generation_validation():

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -200,6 +201,18 @@ def test_read_records_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text(",".join(CSV_HEADER) + "\n")
     with pytest.raises(ValueError):
+        read_records(path)
+
+
+def test_read_records_rejects_unknown_strategy(tmp_path):
+    config = RunConfig(
+        dataset="builtin:n3", p_values=(1,), strategies=("max_degree_zero_no_opt",)
+    )
+    first, second = run_experiment(config)
+    path = tmp_path / "records.csv"
+    write_records([first, dataclasses.replace(second, strategy="bogus")], path)
+    # the header is line 1, so the bogus record sits on line 3
+    with pytest.raises(ValueError, match=r"records\.csv, line 3: unknown strategy 'bogus'"):
         read_records(path)
 
 

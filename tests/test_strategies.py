@@ -105,6 +105,25 @@ def test_round_angles_bitwise_equals_scalar_rule():
     assert round_angles(angles).flatten().tobytes() == np.array(expected).tobytes()
 
 
+def test_normalize_angle_bitwise_equals_scalar_rule():
+    def reference(theta):
+        return theta - 2.0 * math.pi * math.floor((theta + math.pi) / (2.0 * math.pi))
+
+    # signed zeros, +-pi and their float neighbours, huge magnitudes, and
+    # multiples of pi/8 and of pi, where the floor can step
+    edges = [0.0, -0.0, 1e300, -1e300]
+    for t in (math.pi, -math.pi):
+        edges += [t, math.nextafter(t, 0.0), math.nextafter(t, 2 * t)]
+    multiples = [k * PI8 for k in range(-48, 49)] + [k * math.pi for k in range(-9, 10)]
+    rng = np.random.default_rng(18)
+    values = edges + multiples + list(rng.uniform(-50, 50, 200))
+    expected = np.array([reference(t) for t in values])
+    scalar = np.array([normalize_angle(t) for t in values])
+    assert scalar.tobytes() == expected.tobytes()
+    array = normalize_angles(AngleVector([values], [[0.0]])).gamma[0]
+    assert array.tobytes() == expected.tobytes()
+
+
 # ----- initializers -----
 
 def test_init_uniform_random_contract(k2):
