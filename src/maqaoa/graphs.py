@@ -69,9 +69,6 @@ class Graph:
             degs[v] += 1
         return tuple(degs)
 
-    def degree(self, v: int) -> int:
-        return self.degrees()[v]
-
     @property
     def id(self) -> str:
         """Stable text identifier, equal exactly for isomorphic graphs."""
@@ -86,8 +83,10 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
-def _reachable(masks: list[int]) -> int:
-    """Bitmask of the vertices reachable from vertex 0, by breadth-first search."""
+def is_connected(g: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (K1 is connected)."""
+    masks = _neighbor_masks(g)
+    # breadth-first search over vertex bitmasks
     seen = 1
     frontier = 1
     while frontier:
@@ -99,12 +98,7 @@ def _reachable(masks: list[int]) -> int:
             reach |= masks[v]
         frontier = reach & ~seen
         seen |= frontier
-    return seen
-
-
-def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (K1 is connected)."""
-    return _reachable(_neighbor_masks(g)) == (1 << g.n) - 1
+    return seen == (1 << g.n) - 1
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -254,26 +248,18 @@ def _canonical_order(n: int, adj: list[int]) -> list[int]:
 
 
 @lru_cache(maxsize=32768)
-def canonical_form(g: Graph) -> bytes:
-    """Canonical byte string: equal for two graphs iff they are isomorphic.
-
-    First byte is the vertex count, the rest packs the upper triangle of the
-    canonically relabeled adjacency matrix, column-major, 8 bits per byte.
-    Bounded to n <= 12; the backtracking search above that gets expensive.
-    """
+def _canonical(g: Graph) -> tuple[tuple[int, ...], bytes]:
+    """Canonical vertex order of g and the canonical form it induces."""
     if g.n > MAX_CANON_VERTICES:
         raise CapacityError(
             f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {g.n}"
         )
-    if g.n == 1:
-        return bytes([1])
     adj = _neighbor_masks(g)
     order = _canonical_order(g.n, adj)
-    bits = _prefix_bits(order, adj)
     packed = bytearray([g.n])
     acc = 0
     count = 0
-    for b in bits:
+    for b in _prefix_bits(order, adj):
         acc = (acc << 1) | b
         count += 1
         if count == 8:
@@ -282,7 +268,17 @@ def canonical_form(g: Graph) -> bytes:
             count = 0
     if count:
         packed.append(acc << (8 - count))
-    return bytes(packed)
+    return tuple(order), bytes(packed)
+
+
+def canonical_form(g: Graph) -> bytes:
+    """Canonical byte string: equal for two graphs iff they are isomorphic.
+
+    First byte is the vertex count, the rest packs the upper triangle of the
+    canonically relabeled adjacency matrix, column-major, 8 bits per byte.
+    Bounded to n <= 12; the backtracking search above that gets expensive.
+    """
+    return _canonical(g)[1]
 
 
 def graph_id(g: Graph) -> str:
@@ -292,12 +288,8 @@ def graph_id(g: Graph) -> str:
 
 
 def canonical_relabel(g: Graph) -> Graph:
-    """The isomorphic copy of g in canonical vertex order."""
-    if g.n == 1:
-        return g
-    adj = _neighbor_masks(g)
-    order = _canonical_order(g.n, adj)
-    position = {v: i for i, v in enumerate(order)}
+    """The isomorphic copy of g in canonical vertex order (n <= 12)."""
+    position = {v: i for i, v in enumerate(_canonical(g)[0])}
     edges = tuple((position[u], position[v]) for u, v in g.edges)
     return Graph(g.n, edges)
 
@@ -307,23 +299,19 @@ def canonical_relabel(g: Graph) -> Graph:
 
 @lru_cache(maxsize=8)
 def _enumerate_connected(n: int) -> tuple[Graph, ...]:
-    pairs = list(itertools.combinations(range(n), 2))
+    if n == 1:
+        return (Graph(1),)
+    # every connected graph on n > 1 vertices has a vertex whose removal leaves
+    # it connected (a leaf of a spanning tree), so attaching vertex n-1 to
+    # each class on n-1 vertices by every nonempty neighbour set reaches every
+    # class; the new vertex always has a neighbour, so each candidate is
+    # connected
     representatives: dict[bytes, Graph] = {}
-    for mask in range(1 << len(pairs)):
-        masks = [0] * n
-        edges = []
-        for i, (u, v) in enumerate(pairs):
-            if (mask >> i) & 1:
-                masks[u] |= 1 << v
-                masks[v] |= 1 << u
-                edges.append((u, v))
-        # connectivity straight off the bitmasks, before any construction
-        if _reachable(masks) != (1 << n) - 1:
-            continue
-        g = Graph(n, tuple(edges))
-        key = canonical_form(g)
-        if key not in representatives:
-            representatives[key] = g
+    for base in _enumerate_connected(n - 1):
+        for mask in range(1, 1 << (n - 1)):
+            attach = tuple((v, n - 1) for v in range(n - 1) if (mask >> v) & 1)
+            g = Graph(n, base.edges + attach)
+            representatives.setdefault(canonical_form(g), g)
     ordered = sorted(representatives.items(), key=lambda kv: (kv[1].edge_count, kv[0]))
     return tuple(canonical_relabel(g) for _, g in ordered)
 
@@ -331,9 +319,10 @@ def _enumerate_connected(n: int) -> tuple[Graph, ...]:
 def enumerate_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
-    Exhausts all 2^(n(n-1)/2) edge subsets, so n is capped at 6. Output is
-    deterministic: representatives are canonically relabeled and sorted by
-    (edge count, canonical form).
+    Grown one vertex at a time from the classes on n-1 vertices, keeping
+    one graph per canonical form; n is capped at 6. Output is deterministic:
+    representatives are canonically relabeled and sorted by (edge count,
+    canonical form).
     """
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise CapacityError(

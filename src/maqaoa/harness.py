@@ -55,6 +55,8 @@ class RunConfig:
         object.__setattr__(self, "strategies", tuple(self.strategies))
         if not self.p_values or any(p < 1 for p in self.p_values):
             raise ValueError(f"p values must all be >= 1, got {self.p_values}")
+        if len(set(self.p_values)) != len(self.p_values):
+            raise ValueError(f"p values must be distinct, got {self.p_values}")
         unknown = [s for s in self.strategies if s not in STRATEGY_KINDS]
         if unknown:
             raise ValueError(f"unknown strategies: {unknown}")
@@ -136,8 +138,14 @@ def run_experiment(config: RunConfig) -> list[ExperimentRecord]:
     Graphs are processed in graph-id order and each graph's block is written
     as soon as it completes, so interrupted runs leave a readable prefix.
     """
-    graphs = load_dataset(config.dataset, config.seed)
-    graphs = sorted(graphs, key=lambda g: g.id)
+    # cells are keyed by graph id, so isomorphic graphs would repeat them
+    by_id: dict[str, Graph] = {}
+    for g in load_dataset(config.dataset, config.seed):
+        gid = g.id
+        if gid in by_id:
+            raise ValueError(f"dataset holds isomorphic graphs with id {gid}")
+        by_id[gid] = g
+    graphs = [by_id[gid] for gid in sorted(by_id)]
 
     all_records: list[ExperimentRecord] = []
     with contextlib.ExitStack() as stack:

@@ -28,9 +28,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import CapacityError
-from .graphs import Graph
-
-MAX_QUBITS = 24
+from .graphs import MAX_VERTICES, Graph
 
 # the cost diagonal is kept factored over a split of the basis index into
 # its low _LO_BITS bits and the remaining high bits; see _CostTables
@@ -236,9 +234,9 @@ def cut_values(g: Graph) -> np.ndarray:
 
 def prepare_plus_state(n_qubits: int) -> StateVector:
     """Uniform superposition over all 2^n basis states."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
+    if not 1 <= n_qubits <= MAX_VERTICES:
         raise CapacityError(
-            f"qubit count must be in [1, {MAX_QUBITS}], got {n_qubits}"
+            f"qubit count must be in [1, {MAX_VERTICES}], got {n_qubits}"
         )
     dim = 1 << n_qubits
     return np.full(dim, dim ** -0.5, dtype=np.complex128)

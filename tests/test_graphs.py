@@ -109,11 +109,26 @@ def test_enumerate_connected_counts():
 
 
 def test_enumerate_connected_all_connected_and_distinct():
-    for n in range(1, 6):
+    for n in range(1, 7):
         graphs = enumerate_connected(n)
         assert all(is_connected(g) for g in graphs)
         forms = [canonical_form(g) for g in graphs]
         assert len(set(forms)) == len(forms)
+
+
+def test_enumerate_connected_matches_edge_subset_scan():
+    # the classes found by scanning every edge subset, told apart by the
+    # permutation oracle alone
+    for n in range(1, 6):
+        pairs = list(itertools.combinations(range(n), 2))
+        expected = set()
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, tuple(pq for i, pq in enumerate(pairs) if (mask >> i) & 1))
+            if is_connected(g):
+                expected.add(brute_canonical(g))
+        found = [brute_canonical(g) for g in enumerate_connected(n)]
+        assert len(found) == len(expected)
+        assert set(found) == expected
 
 
 def test_enumerate_connected_capacity():
@@ -178,6 +193,8 @@ def test_canonical_relabel_is_isomorphic_and_stable():
 def test_canonical_capacity():
     with pytest.raises(CapacityError):
         canonical_form(Graph(13))
+    with pytest.raises(CapacityError):
+        canonical_relabel(Graph(13))
 
 
 def test_graph_id_shape_and_stability(path4):

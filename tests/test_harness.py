@@ -84,6 +84,8 @@ def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(dataset="builtin:n3", p_values=(0,))
     with pytest.raises(ValueError):
+        RunConfig(dataset="builtin:n3", p_values=(1, 1))
+    with pytest.raises(ValueError):
         RunConfig(dataset="builtin:n3", strategies=("bogus",))
     with pytest.raises(ValueError):
         RunConfig(dataset="builtin:n3", strategies=("rounded_no_opt",))
@@ -94,6 +96,20 @@ def test_run_config_validation():
 
 
 # ----- experiment runs -----
+
+def test_run_rejects_isomorphic_dataset_graphs(tmp_path):
+    # two labelings of the 3-vertex path share one graph id, so their cells
+    # would repeat under identical seeds
+    a = Graph(3, ((0, 1), (1, 2)))
+    b = Graph(3, ((0, 2), (1, 2)))
+    edges = tmp_path / "paths.edges"
+    write_edge_list([a, b], edges)
+    out = tmp_path / "out"
+    config = RunConfig(dataset=f"edges:{edges}", p_values=(1,), out_dir=str(out))
+    with pytest.raises(ValueError, match=a.id):
+        run_experiment(config)
+    assert not (out / "records.csv").exists()
+
 
 def test_run_counts_and_order():
     config = RunConfig(dataset="builtin:n4", p_values=(1, 2, 3), seed=1)
