@@ -188,12 +188,12 @@ def read_records(path) -> list[ExperimentRecord]:
         for row in reader:
             if not row:
                 continue
-            record = ExperimentRecord.from_row(row)
-            if record.strategy not in STRATEGY_KINDS:
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: "
-                    f"unknown strategy {record.strategy!r}"
-                )
+            try:
+                record = ExperimentRecord.from_row(row)
+                if record.strategy not in STRATEGY_KINDS:
+                    raise ValueError(f"unknown strategy {record.strategy!r}")
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
             records.append(record)
     if not records:
         raise ValueError(f"no records in {path}")

@@ -16,6 +16,7 @@ which lands the exact line minimizer on near-quadratic restrictions.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Generic, TypeVar
 
@@ -229,7 +230,7 @@ def bfgs_maximize(
         calls += 1
         value, grad = objective(z)
         grad = np.asarray(grad, dtype=np.float64)
-        if not np.isfinite(value) or not np.all(np.isfinite(grad)):
+        if not math.isfinite(value) or not np.isfinite(grad).all():
             raise NumericalError(f"non-finite objective output at point {z!r}")
         return -float(value), -grad
 
@@ -242,7 +243,7 @@ def bfgs_maximize(
     converged = False
     iterations = 0
     # seed for the first step-length guess, mirroring a common heuristic
-    old_f = f + float(np.linalg.norm(g)) / 2
+    old_f = f + math.sqrt(g @ g) / 2
 
     for _ in range(cfg.max_iterations):
         if float(np.max(np.abs(g))) < GRADIENT_TOLERANCE:
@@ -273,13 +274,14 @@ def bfgs_maximize(
         y = g_new - g
         iterations += 1
         sy = float(np.dot(s, y))
-        if sy > _CURVATURE_SKIP * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > _CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y):
             if H is None:
                 H = np.eye(x.size) * (sy / float(np.dot(y, y)))
             Hy = H @ y
             rho = 1.0 / sy
-            H -= rho * (np.outer(s, Hy) + np.outer(Hy, s))
-            H += (rho * rho * float(np.dot(y, Hy)) + rho) * np.outer(s, s)
+            column = s[:, None]
+            H -= rho * (column * Hy + Hy[:, None] * s)
+            H += (rho * rho * float(np.dot(y, Hy)) + rho) * (column * s)
         old_f = f
         x = x + s
         f = f_new
@@ -310,7 +312,10 @@ def optimize_angles(
     nv = g.n
 
     def objective(flat):
-        return expectation_and_gradient(g, AngleVector.unflatten(flat, p, m, nv))
+        # views, not copies: the optimizer never writes to a point it has
+        # evaluated, it only builds new ones
+        layers = flat.reshape(p, m + nv)
+        return expectation_and_gradient(g, AngleVector(layers[:, :m], layers[:, m:]))
 
     result = bfgs_maximize(objective, start.flatten(), config)
     final = AngleVector.unflatten(result.final_angles, p, m, nv)

@@ -98,12 +98,22 @@ class ExperimentRecord:
             if pair
         )
         angles = tuple(float(a) for a in row[10].split(";") if a)
+        n, edge_count, p = int(row[1]), int(row[2]), int(row[4])
+        if edge_count != len(edges):
+            raise ValueError(f"edge_count {edge_count} != {len(edges)} listed edges")
+        if len(angles) != p * (edge_count + n):
+            raise ValueError(
+                f"expected {p * (edge_count + n)} final angles for p={p}, "
+                f"{edge_count} edges, {n} vertices; got {len(angles)}"
+            )
+        if row[13] not in ("true", "false"):
+            raise ValueError(f"converged must be 'true' or 'false', got {row[13]!r}")
         return cls(
             graph_id=row[0],
-            n=int(row[1]),
-            edge_count=int(row[2]),
+            n=n,
+            edge_count=edge_count,
             edges=edges,  # type: ignore[arg-type]
-            p=int(row[4]),
+            p=p,
             strategy=row[5],
             replicate=int(row[6]),
             seed=int(row[7]),

@@ -120,31 +120,53 @@ class _CostTables:
         c = self.cross
         return (self.high[:, c] * (-2.0 * gammas[c])) @ self.low[:, c].T
 
-    def apply_phase(self, state: np.ndarray, gammas: np.ndarray, spare: np.ndarray) -> None:
-        """Multiply states in place by exp(-i * phase(gammas)).
+    def factors(self, angles: np.ndarray) -> np.ndarray:
+        """exp(-i * low @ a), then exp(-i * high @ a), for every row a of angles.
 
-        `state` holds one or more 2^n states. The low and high parts are
-        per-column and per-row factors, so only crossing terms need a factor
-        per amplitude; those are built in `spare`, the size of one state.
+        Returns one (rows, 2^b + 2^a) table, one row per layer, from one
+        matvec per layer and part and one exp for all. Its conjugate undoes
+        the layers.
         """
-        view = state.reshape(-1, len(self.high), len(self.low))
-        view *= np.exp(-1j * (self.low @ gammas))
-        if len(self.high) > 1:
-            view *= np.exp(-1j * (self.high @ gammas))[:, None]
-            if len(self.cross):
-                factors = spare.reshape(view.shape[1:])
-                np.multiply(self._cross_phase(gammas), -1j, out=factors)
-                view *= np.exp(factors, out=factors)
+        b = len(self.low)
+        arg = np.zeros((len(angles), b + len(self.high)))
+        for row, a in zip(arg, angles):
+            np.matmul(self.low, a, out=row[:b])
+            # for n <= _LO_BITS, high is one all-zero row: its factor stays 1
+            if len(self.high) > 1:
+                np.matmul(self.high, a, out=row[b:])
+        return np.exp(-1j * arg)
 
-    def contract(self, w: np.ndarray) -> np.ndarray:
-        """Per term, the sum of a real 2^n vector weighted by that term."""
-        w = w.reshape(len(self.high), len(self.low))
-        out = w.sum(axis=0) @ self.low
+    def multiply(
+        self, states: np.ndarray, factors: np.ndarray, gammas: np.ndarray,
+        spare: np.ndarray, undo: bool = False,
+    ) -> None:
+        """Multiply states in place by one layer's diagonal exp(-i * phase(gammas)).
+
+        `states` holds one or more 2^n states and `factors` is that layer's
+        row of `factors(...)`, conjugated to undo the layer. Only crossing
+        terms need a factor per amplitude; those are built in `spare`, the
+        size of one state, as exp(+i * phase) when `undo` is set.
+        """
+        b = len(self.low)
+        view = states.reshape(-1, len(self.high), b)
+        view *= factors[:b]
         if len(self.high) > 1:
-            c = self.cross
-            out += w.sum(axis=1) @ self.high
-            out[c] -= 2.0 * ((self.high[:, c].T @ w) * self.low[:, c].T).sum(axis=1)
-        return out
+            view *= factors[b:, None]
+            if len(self.cross):
+                f = spare.reshape(view.shape[1:])
+                np.multiply(self._cross_phase(gammas), 1j if undo else -1j, out=f)
+                view *= np.exp(f, out=f)
+
+    def contract(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Per term, the sum of a real 2^n vector weighted by that term, into out."""
+        w = w.reshape(len(self.high), len(self.low))
+        if len(self.high) == 1:
+            np.matmul(w[0], self.low, out=out)
+            return
+        np.matmul(w.sum(axis=0), self.low, out=out)
+        c = self.cross
+        out += w.sum(axis=1) @ self.high
+        out[c] -= 2.0 * ((self.high[:, c].T @ w) * self.low[:, c].T).sum(axis=1)
 
 
 def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,30 +220,39 @@ def _hadamard(k: int) -> np.ndarray:
     return h
 
 
-def _transform(state: np.ndarray, spare: np.ndarray) -> None:
-    """Apply H^n to a 2^n state in place; `spare` is a work buffer of the same size.
+@lru_cache(maxsize=None)
+def _complex_hadamard(k: int) -> np.ndarray:
+    """_hadamard(k) as complex128, so the lowest chunk's matmul casts nothing."""
+    h = _hadamard(k).astype(np.complex128)
+    h.flags.writeable = False
+    return h
 
+
+def _transform(states: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Apply H^n to every 2^n row of `states`, a C-contiguous (..., 2^n) array.
+
+    `spare` is a work buffer of the same shape. Returns (result, other): the
+    buffer that holds the transformed rows and the one left as scratch.
     The qubits go in ceil(n / _WHT_BITS) near-equal chunks, lowest first,
     one matmul each, alternating between the two buffers. Above the lowest
     chunk H is real and acts on whole rows, so it runs on the float view.
     """
-    n = state.size.bit_length() - 1
+    n = states.shape[-1].bit_length() - 1
     chunks = -(-n // _WHT_BITS)
-    src, dst = state, spare
+    src, dst = states, spare
     lo = 0
     for c in range(chunks):
         k = (n + c) // chunks  # near-equal sizes summing to n
-        h = _hadamard(k)
         if lo:
             shape = (-1, 1 << k, 2 << lo)  # float view: 2 doubles per amplitude
-            np.matmul(h, src.view(np.float64).reshape(shape),
+            np.matmul(_hadamard(k), src.view(np.float64).reshape(shape),
                       out=dst.view(np.float64).reshape(shape))
         else:
-            np.matmul(src.reshape(-1, 1 << k), h, out=dst.reshape(-1, 1 << k))
+            np.matmul(src.reshape(-1, 1 << k), _complex_hadamard(k),
+                      out=dst.reshape(-1, 1 << k))
         src, dst = dst, src
         lo += k
-    if src is not state:
-        state[:] = src
+    return src, dst
 
 
 @lru_cache(maxsize=256)
@@ -288,15 +319,25 @@ def _check_angles(g: Graph, angles: AngleVector) -> None:
         )
 
 
-def _forward(g: Graph, angles: AngleVector, psi: np.ndarray, spare: np.ndarray) -> None:
-    """Run the circuit on psi, which holds the plus state, in place."""
+def _forward(
+    g: Graph, angles: AngleVector, psi: np.ndarray, spare: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run the circuit on psi, which holds the plus state, in place.
+
+    `spare` is a work buffer the size of psi. Every layer transforms twice,
+    so the final state ends in psi. Returns the cost and mixer factor
+    tables of every layer (see _CostTables.factors).
+    """
     tables = _cost_tables(g)
     spins = _spin_tables(g.n)
+    cost = tables.factors(angles.gamma)
+    mix = spins.factors(angles.beta)
     for layer in range(angles.p):
-        tables.apply_phase(psi, angles.gamma[layer], spare)
-        _transform(psi, spare)
-        spins.apply_phase(psi, angles.beta[layer], spare)
-        _transform(psi, spare)
+        tables.multiply(psi, cost[layer], angles.gamma[layer], spare)
+        psi, spare = _transform(psi, spare)
+        spins.multiply(psi, mix[layer], angles.beta[layer], spare)
+        psi, spare = _transform(psi, spare)
+    return cost, mix
 
 
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
@@ -453,7 +494,9 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     layer, so all of a layer's derivatives are read off at the layer
     boundary as 2*Im(<bra|G|ket>) before both states are stepped back.
     The beta derivatives are read in the Hadamard basis, where X_v is the
-    diagonal 1 - 2 z_v.
+    diagonal 1 - 2 z_v. Bra and ket are one (2, 2^n) pair: each transform
+    and each undo acts on both, the undo multiplying by the conjugates of
+    the forward pass's phase factors.
     """
     p = angles.p
     m = g.edge_count
@@ -462,30 +505,32 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     spins = _spin_tables(n)
     cuts = cut_values(g)
 
-    pair = np.empty((2, 1 << n), dtype=np.complex128)
+    # one block, not two: once freed, a block this size lifts glibc's mmap
+    # and trim thresholds above itself, so later calls reuse its pages
+    # (two 2-state blocks at n=16 faulted 1,152 pages in on every call)
+    pair, other = np.empty((2, 2, 1 << n), dtype=np.complex128)
     bra, ket = pair
-    ket[:] = prepare_plus_state(n)
-    spare = np.empty_like(ket)
-    _forward(g, angles, ket, spare)
+    ket.fill((1 << n) ** -0.5)
+    cost, mix = _forward(g, angles, ket, other[0])
+    undo_cost = np.conjugate(cost, out=cost)
+    undo_mix = np.conjugate(mix, out=mix)
     np.multiply(cuts, ket, out=bra)
     value = float(np.vdot(ket, bra).real)
 
-    grad_gamma = np.empty((p, m), dtype=np.float64)
-    grad_beta = np.empty((p, n), dtype=np.float64)
+    grad = np.empty((p, m + n), dtype=np.float64)
     for layer in reversed(range(p)):
-        _transform(bra, spare)
-        _transform(ket, spare)
+        pair, other = _transform(pair, other)
         # <bra|X_v|ket> = <H bra|Z_v|H ket>, Z_v = 1 - 2 z_v on every state
-        w = np.multiply(np.conjugate(bra, out=spare), ket, out=spare).imag
-        grad_beta[layer] = 2.0 * spins.contract(w)
-        spins.apply_phase(pair, -angles.beta[layer], spare)
-        _transform(bra, spare)
-        _transform(ket, spare)
+        w = np.conjugate(pair[0], out=other[0])
+        spins.contract(np.multiply(w, pair[1], out=w).imag, grad[layer, m:])
+        spins.multiply(pair, undo_mix[layer], angles.beta[layer], other[0])
+        pair, other = _transform(pair, other)
         if m:
-            w = np.multiply(np.conjugate(bra, out=spare), ket, out=spare).imag
-            grad_gamma[layer] = 2.0 * tables.contract(w)
+            w = np.conjugate(pair[0], out=other[0])
+            tables.contract(np.multiply(w, pair[1], out=w).imag, grad[layer, :m])
             if layer:
                 # states below layer 0 are never read, skip the last undo
-                tables.apply_phase(pair, -angles.gamma[layer], spare)
-    flat = np.hstack([grad_gamma, grad_beta]).ravel()
-    return value, flat
+                tables.multiply(pair, undo_cost[layer], angles.gamma[layer],
+                                other[0], undo=True)
+    grad *= 2.0
+    return value, grad.ravel()

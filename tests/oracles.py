@@ -48,14 +48,46 @@ def dense_cost(g: Graph) -> np.ndarray:
 def dense_circuit(g: Graph, angles: AngleVector) -> np.ndarray:
     """Final state built entirely from dense matrix exponentials."""
     state = np.full(1 << g.n, (1 << g.n) ** -0.5, dtype=np.complex128)
+    for _, gate in _dense_gates(g, angles):
+        state = gate @ state
+    return state
+
+
+def _dense_gates(g: Graph, angles: AngleVector) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(generator, unitary) of every gate in circuit order: per layer the
+    edge phases, then the vertex rotations."""
+    gates = []
     for layer in range(angles.p):
         for k, (u, v) in enumerate(g.edges):
-            gate = expm(-1j * angles.gamma[layer, k] * dense_edge_cost(g.n, u, v))
-            state = gate @ state
+            gen = dense_edge_cost(g.n, u, v)
+            gates.append((gen, expm(-1j * angles.gamma[layer, k] * gen)))
         for vtx in range(g.n):
-            gate = expm(-1j * angles.beta[layer, vtx] * _kron_at(_X, vtx, g.n))
-            state = gate @ state
-    return state
+            gen = _kron_at(_X, vtx, g.n)
+            gates.append((gen, expm(-1j * angles.beta[layer, vtx] * gen)))
+    return gates
+
+
+def dense_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
+    """<C> and its exact gradient in flattened parameter order, from dense
+    generators only.
+
+    Gate k is exp(-i t_k G_k), whose derivative is -i G_k times the gate,
+    so d<C>/dt_k = 2 Re <psi|C|psi_k'>, with psi_k' the circuit's state
+    when -i G_k is inserted right after gate k. Each psi_k' is rebuilt by
+    running the remaining gates, with no reverse sweep.
+    """
+    gates = _dense_gates(g, angles)
+    states = [np.full(1 << g.n, (1 << g.n) ** -0.5, dtype=np.complex128)]
+    for _, unitary in gates:
+        states.append(unitary @ states[-1])
+    c_psi = dense_cost(g) @ states[-1]
+    grad = np.empty(len(gates))
+    for k, (gen, _) in enumerate(gates):
+        tangent = -1j * (gen @ states[k + 1])
+        for _, unitary in gates[k + 1:]:
+            tangent = unitary @ tangent
+        grad[k] = 2.0 * np.real(np.vdot(c_psi, tangent))
+    return float(np.real(np.vdot(states[-1], c_psi))), grad
 
 
 def dense_expectation(g: Graph, state: np.ndarray) -> float:

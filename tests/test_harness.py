@@ -1,4 +1,5 @@
-import dataclasses
+import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -221,15 +222,29 @@ def test_read_records_rejects_empty(tmp_path):
 
 
 def test_read_records_rejects_unknown_strategy(tmp_path):
+    """An unknown strategy, and every cell `report` would misread, is
+    rejected with the file and line of the bad record."""
     config = RunConfig(
         dataset="builtin:n3", p_values=(1,), strategies=("max_degree_zero_no_opt",)
     )
     first, second = run_experiment(config)
-    path = tmp_path / "records.csv"
-    write_records([first, dataclasses.replace(second, strategy="bogus")], path)
-    # the header is line 1, so the bogus record sits on line 3
-    with pytest.raises(ValueError, match=r"records\.csv, line 3: unknown strategy 'bogus'"):
-        read_records(path)
+    good = second.to_row()
+    bad_rows = {
+        "unknown strategy 'bogus'": {5: "bogus"},
+        "converged must be 'true' or 'false', got 'True'": {13: "True"},
+        "edge_count 4 != 3 listed edges": {2: str(second.edge_count + 1)},
+        "expected 6 final angles for p=1, 3 edges, 3 vertices; got 5":
+            {10: good[10].rsplit(";", 1)[0]},
+    }
+    for message, cells in bad_rows.items():
+        row = [cells.get(i, cell) for i, cell in enumerate(good)]
+        path = tmp_path / "records.csv"
+        with open(path, "w", encoding="ascii", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerows([CSV_HEADER, first.to_row(), row])
+        # the header is line 1, so the bad record sits on line 3
+        with pytest.raises(ValueError, match=rf"records\.csv, line 3: {re.escape(message)}$"):
+            read_records(path)
 
 
 # ----- report -----

@@ -19,6 +19,7 @@ from conftest import random_angles
 from oracles import (
     dense_circuit,
     dense_expectation,
+    dense_gradient,
     fd_gradient,
     naive_expectation,
     uniform_p1_expectation,
@@ -312,6 +313,20 @@ def test_gradient_matches_finite_differences():
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("p", [2, 3])
+def test_gradient_matches_dense_oracle_on_every_small_graph(p):
+    """Value and gradient of the adjoint sweep against dense generators, on
+    every connected graph with at most 5 vertices."""
+    graphs = [g for n in range(1, 6) for g in enumerate_connected(n)]
+    assert len(graphs) == 31  # OEIS A001349: 1, 1, 2, 6, 21
+    for seed, g in enumerate(graphs):
+        angles = random_angles(g, p, seed)
+        value, grad = expectation_and_gradient(g, angles)
+        dense_value, dense_grad = dense_gradient(g, angles)
+        assert abs(value - dense_value) < 1e-10
+        np.testing.assert_allclose(grad, dense_grad, rtol=0, atol=1e-10)
+
+
 def test_gradient_vanishes_at_k2_optimum(k2):
     angles = AngleVector([[np.pi / 2]], [[np.pi / 8, np.pi / 8]])
     _, grad = expectation_and_gradient(k2, angles)
@@ -396,19 +411,20 @@ def test_gradient_matches_finite_differences_across_split(g, p):
 
 @pytest.mark.parametrize("n", [1, 6, 7, 13])
 def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
+    """On one state and on a (2, 2^n) stack, whose rows transform alone."""
     rng = np.random.default_rng(16)
-    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    spare = np.empty_like(state)
-    once = state.copy()
-    _transform(once, spare)
+    stack = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
+    dense = None
     if n <= 7:
         dense = np.ones((1, 1))
         for _ in range(n):
             dense = np.kron(dense, [[1, 1], [1, -1]]) / np.sqrt(2)
-        np.testing.assert_allclose(once, dense @ state, rtol=0, atol=1e-12)
-    twice = once.copy()
-    _transform(twice, spare)
-    np.testing.assert_allclose(twice, state, rtol=0, atol=1e-12)
+    for states in (stack[0], stack):
+        once, spare = _transform(states.copy(), np.empty_like(states))
+        if dense is not None:
+            np.testing.assert_allclose(once, states @ dense.T, rtol=0, atol=1e-12)
+        twice, _ = _transform(once.copy(), spare)
+        np.testing.assert_allclose(twice, states, rtol=0, atol=1e-12)
 
 
 # ----- the closed form at one layer -----
