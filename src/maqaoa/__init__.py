@@ -54,13 +54,13 @@ from .strategies import (
     PI8,
     PI8_TOLERANCE,
     STRATEGY_KINDS,
-    StrategySpec,
     init_max_degree_zero,
     init_random_pi8,
     init_uniform_random,
     is_multiple_of_pi8,
     normalize_angle,
     normalize_angles,
+    pi8_multiples,
     round_angles,
     round_to_pi8,
     run_strategy,

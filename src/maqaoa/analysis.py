@@ -7,15 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _find, max_degree_vertices
-from .records import ExperimentRecord
+from .records import STRATEGY_KINDS, ExperimentRecord
 from .simulator import AngleVector
-from .strategies import (
-    PI8,
-    PI8_TOLERANCE,
-    STRATEGY_KINDS,
-    _normalize_array,
-    _round_to_pi8_array,
-)
+from .strategies import PI8, PI8_TOLERANCE, normalize_angles, pi8_multiples
 
 HISTOGRAM_BINS = 16
 HISTOGRAM_BIN_LEFT_EDGES = tuple(-np.pi + k * PI8 for k in range(HISTOGRAM_BINS))
@@ -93,11 +87,11 @@ def angle_concentration(records, tolerance: float = PI8_TOLERANCE) -> AngleStats
         angles = record.angle_vector()
         gamma_count += angles.gamma.size
         beta_count += angles.beta.size
-        flat = _normalize_array(angles.flatten())
+        flat = normalize_angles(angles).flatten()
         total += flat.size
         if flat.size == 0:
             continue
-        multiples += int((np.abs(flat - _round_to_pi8_array(flat)) < tolerance).sum())
+        multiples += int(pi8_multiples(angles.flatten(), tolerance).sum())
         bins = np.clip(
             np.floor((flat + np.pi) / PI8).astype(np.int64), 0, HISTOGRAM_BINS - 1
         )
@@ -123,9 +117,9 @@ def max_degree_zero_fraction(records, tolerance: float = PI8_TOLERANCE) -> float
     total = 0
     for record in records:
         g = record.graph()
-        angles = record.angle_vector()
-        gamma = np.abs(_normalize_array(angles.gamma))
-        beta = np.abs(_normalize_array(angles.beta))
+        angles = normalize_angles(record.angle_vector())
+        gamma = np.abs(angles.gamma)
+        beta = np.abs(angles.beta)
         for v in max_degree_vertices(g):
             near += int((beta[:, v] < tolerance).sum())
             total += angles.p
@@ -227,8 +221,9 @@ def forest_check(
     if angles.gamma.shape[1] != g.edge_count or angles.beta.shape[1] != g.n:
         raise ValueError("angle shape does not match graph")
     classes: list[ForestClass] = []
+    gamma = normalize_angles(angles).gamma
     for layer in range(angles.p):
-        values = _normalize_array(angles.gamma[layer])
+        values = gamma[layer]
         order = sorted(range(g.edge_count), key=lambda k: values[k])
         cluster: list[int] = []
         clusters: list[list[int]] = []

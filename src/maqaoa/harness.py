@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
-import csv
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -34,8 +33,17 @@ from .graphs import (
     read_edge_list,
     read_graph6,
 )
-from .records import CSV_HEADER, ExperimentRecord, format_float
-from .strategies import STRATEGY_KINDS, StrategySpec, run_strategy
+# read_records and write_records are also this module's public names
+from .records import (
+    CSV_HEADER,
+    STRATEGY_KINDS,
+    ExperimentRecord,
+    csv_table,
+    format_float,
+    read_records,
+    write_records,
+)
+from .strategies import run_strategy
 
 _COMPARISONS = ("rounded_no_opt", "random_pi8_opt", "max_degree_zero_opt")
 
@@ -122,9 +130,9 @@ def _graph_records(g: Graph, config: RunConfig) -> list[ExperimentRecord]:
                 if kind not in config.strategies:
                     continue
                 seed = derive_seed(config.seed, g.id, kind, p, replicate)
-                spec = StrategySpec(kind=kind, seed=seed, p=p)
-                prior = normal_record if spec.requires_prior else None
-                record = run_strategy(g, spec, prior=prior, replicate=replicate)
+                record = run_strategy(
+                    g, kind, p, seed, prior=normal_record, replicate=replicate
+                )
                 if kind == "normal":
                     normal_record = record
                 records.append(record)
@@ -149,15 +157,11 @@ def run_experiment(config: RunConfig) -> list[ExperimentRecord]:
 
     all_records: list[ExperimentRecord] = []
     with contextlib.ExitStack() as stack:
-        writer = None
+        write = None
         if config.out_dir is not None:
             out = Path(config.out_dir)
             out.mkdir(parents=True, exist_ok=True)
-            handle = stack.enter_context(
-                open(out / "records.csv", "w", encoding="ascii", newline="")
-            )
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
+            write = stack.enter_context(csv_table(out / "records.csv", CSV_HEADER))
         # map and the pool's map both yield blocks in graph order
         mapper = map
         if config.threads > 1:
@@ -165,39 +169,9 @@ def run_experiment(config: RunConfig) -> list[ExperimentRecord]:
             mapper = stack.enter_context(pool).map
         for block in mapper(_graph_records, graphs, itertools.repeat(config)):
             all_records.extend(block)
-            if writer is not None:
-                writer.writerows(r.to_row() for r in block)
-                handle.flush()
+            if write is not None:
+                write(r.to_row() for r in block)
     return all_records
-
-
-def write_records(records, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        writer.writerows(r.to_row() for r in records)
-
-
-def read_records(path) -> list[ExperimentRecord]:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != list(CSV_HEADER):
-            raise ValueError(f"unexpected header in {path}: {header}")
-        records = []
-        for row in reader:
-            if not row:
-                continue
-            try:
-                record = ExperimentRecord.from_row(row)
-                if record.strategy not in STRATEGY_KINDS:
-                    raise ValueError(f"unknown strategy {record.strategy!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            records.append(record)
-    if not records:
-        raise ValueError(f"no records in {path}")
-    return records
 
 
 def report(records_path, out_dir) -> list[Path]:
@@ -209,21 +183,23 @@ def report(records_path, out_dir) -> list[Path]:
     Deterministic: the same records file yields byte-identical outputs.
     """
     records = read_records(records_path)
+    blocks: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
+    for record in records:
+        blocks.setdefault(report_key(record), []).append(record)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def emit(name: str, header, rows) -> None:
+    def emit(name: str, columns: str, rows) -> None:
+        """Write one table under the space-separated header `columns`."""
         path = out / name
-        with open(path, "w", encoding="ascii", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        with csv_table(path, columns.split()) as write:
+            write(rows)
         written.append(path)
 
     emit(
         "aggregate.csv",
-        ("n", "p", "strategy", "mean_ar", "std_ar", "graph_count"),
+        "n p strategy mean_ar std_ar graph_count",
         (
             (
                 row.n,
@@ -237,23 +213,17 @@ def report(records_path, out_dir) -> list[Path]:
         ),
     )
 
-    groups: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
-    for record in records:
-        groups.setdefault(report_key(record), []).append(record)
-    ordered = [groups[k] for k in sorted(groups)]
-
     concentration_rows = []
     histogram_rows = []
     zero_rows = []
     forest_rows = []
-    for block in ordered:
-        first = block[0]
+    for n, p, rank in sorted(blocks):
+        block = blocks[n, p, rank]
+        group = (n, p, STRATEGY_KINDS[rank])
         stats = angle_concentration(block)
         concentration_rows.append(
             (
-                first.n,
-                first.p,
-                first.strategy,
+                *group,
                 stats.total_angles,
                 stats.pi8_multiples,
                 format_float(stats.pi8_fraction),
@@ -262,73 +232,37 @@ def report(records_path, out_dir) -> list[Path]:
             )
         )
         for left, count in zip(HISTOGRAM_BIN_LEFT_EDGES, stats.histogram):
-            histogram_rows.append(
-                (first.n, first.p, first.strategy, format_float(left), count)
-            )
-        zero_rows.append(
-            (
-                first.n,
-                first.p,
-                first.strategy,
-                format_float(max_degree_zero_fraction(block)),
-            )
-        )
+            histogram_rows.append((*group, format_float(left), count))
+        zero_rows.append((*group, format_float(max_degree_zero_fraction(block))))
         fractions = [
             forest_check(r.graph(), r.angle_vector()).acyclic_fraction for r in block
         ]
         forest_rows.append(
-            (
-                first.n,
-                first.p,
-                first.strategy,
-                format_float(sum(fractions) / len(fractions)),
-                len(block),
-            )
+            (*group, format_float(sum(fractions) / len(fractions)), len(block))
         )
 
     emit(
         "angle_concentration.csv",
-        (
-            "n",
-            "p",
-            "strategy",
-            "total_angles",
-            "pi8_multiples",
-            "pi8_fraction",
-            "gamma_count",
-            "beta_count",
-        ),
+        "n p strategy total_angles pi8_multiples pi8_fraction gamma_count beta_count",
         concentration_rows,
     )
+    emit("angle_histogram.csv", "n p strategy bin_left count", histogram_rows)
+    emit("max_degree_zero.csv", "n p strategy zero_fraction", zero_rows)
     emit(
-        "angle_histogram.csv",
-        ("n", "p", "strategy", "bin_left", "count"),
-        histogram_rows,
-    )
-    emit("max_degree_zero.csv", ("n", "p", "strategy", "zero_fraction"), zero_rows)
-    emit(
-        "forest_summary.csv",
-        ("n", "p", "strategy", "mean_acyclic_fraction", "records"),
-        forest_rows,
+        "forest_summary.csv", "n p strategy mean_acyclic_fraction records", forest_rows
     )
 
-    by_np: dict[tuple[int, int], dict[str, list[ExperimentRecord]]] = {}
-    for record in records:
-        by_np.setdefault((record.n, record.p), {}).setdefault(
-            record.strategy, []
-        ).append(record)
     summary_rows = []
     diff_histogram_rows = []
-    for (n, p) in sorted(by_np):
-        strategies_here = by_np[(n, p)]
-        base = strategies_here.get("normal")
-        if not base:
+    normal = STRATEGY_KINDS.index("normal")
+    for n, p, rank in sorted(blocks):
+        if rank != normal:
             continue
         for other_kind in _COMPARISONS:
-            other = strategies_here.get(other_kind)
-            if not other:
+            other = blocks.get((n, p, STRATEGY_KINDS.index(other_kind)))
+            if other is None:
                 continue
-            stats = ar_difference_histogram(base, other)
+            stats = ar_difference_histogram(blocks[n, p, rank], other)
             label = f"normal-{other_kind}"
             summary_rows.append(
                 (
@@ -346,20 +280,13 @@ def report(records_path, out_dir) -> list[Path]:
     if summary_rows:
         emit(
             "ar_difference_summary.csv",
-            (
-                "n",
-                "p",
-                "comparison",
-                "pairs",
-                "mean_difference",
-                "same_ar_fraction",
-                "other_ge_base_fraction",
-            ),
+            "n p comparison pairs mean_difference same_ar_fraction"
+            " other_ge_base_fraction",
             summary_rows,
         )
         emit(
             "ar_difference_histogram.csv",
-            ("n", "p", "comparison", "bin_left", "count"),
+            "n p comparison bin_left count",
             diff_histogram_rows,
         )
     return written

@@ -1,59 +1,23 @@
 """Angle initialization and post-processing strategies.
 
-Five named strategies cover the benchmark:
-
-* normal: uniform random start in [-pi, pi), then BFGS.
-* rounded_no_opt: snap a prior normal result to pi/8 multiples, no
-  re-optimization.
-* random_pi8_opt: random pi/8 multiples as the start, then BFGS.
-* max_degree_zero_no_opt: random pi/8 multiples, but every angle touching a
-  maximum-degree vertex (its beta and all incident gammas, every layer) is
-  zero; evaluated as-is.
-* max_degree_zero_opt: same start, then BFGS.
+`_START_RULES` is the benchmark's table of five strategies: for each kind,
+the rule that gives its start angles, and whether BFGS runs from them.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graphs import Graph, max_cut, max_degree_vertices
 from .optimizer import optimize_angles
-from .records import ExperimentRecord
+from .records import STRATEGY_KINDS, ExperimentRecord
 from .simulator import AngleVector, expectation, run_circuit
 
 PI8 = math.pi / 8
 PI8_TOLERANCE = 5e-4
-
-STRATEGY_KINDS = (
-    "normal",
-    "rounded_no_opt",
-    "random_pi8_opt",
-    "max_degree_zero_no_opt",
-    "max_degree_zero_opt",
-)
-
-_OPTIMIZING = {"normal", "random_pi8_opt", "max_degree_zero_opt"}
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    kind: str
-    seed: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy {self.kind!r}")
-        if self.p < 1:
-            raise ValueError(f"p must be >= 1, got {self.p}")
-
-    @property
-    def requires_prior(self) -> bool:
-        return self.kind == "rounded_no_opt"
 
 
 def normalize_angle(theta: float) -> float:
@@ -81,10 +45,15 @@ def round_to_pi8(theta: float) -> float:
     return float(_round_to_pi8_array(theta))
 
 
+def pi8_multiples(values, tolerance: float = PI8_TOLERANCE) -> np.ndarray:
+    """Elementwise: is the normalized angle within tolerance of a pi/8 multiple?"""
+    t = _normalize_array(values)
+    return np.abs(t - _round_to_pi8_array(t)) < tolerance
+
+
 def is_multiple_of_pi8(theta: float, tolerance: float = PI8_TOLERANCE) -> bool:
     """True when the normalized angle sits within tolerance of a pi/8 multiple."""
-    t = normalize_angle(theta)
-    return abs(t - round_to_pi8(t)) < tolerance
+    return bool(pi8_multiples(theta, tolerance))
 
 
 def normalize_angles(angles: AngleVector) -> AngleVector:
@@ -131,41 +100,65 @@ def init_max_degree_zero(g: Graph, p: int, seed: int) -> AngleVector:
     return AngleVector(gamma, beta)
 
 
-def _prior_angles(g: Graph, p: int, prior: ExperimentRecord | None) -> AngleVector:
+def _round_prior(
+    g: Graph, p: int, seed: int, prior: ExperimentRecord | None
+) -> AngleVector:
     if prior is None:
         raise ValueError("rounded_no_opt needs the prior normal record")
     if prior.p != p or prior.n != g.n or prior.edge_count != g.edge_count:
         raise ValueError("prior record does not match this graph and depth")
-    return prior.angle_vector()
+    return round_angles(prior.angle_vector())
+
+
+def _seeded(init):
+    """A start rule that draws from the cell's seed alone."""
+    return lambda g, p, seed, prior: init(g, p, seed)
+
+
+# kind -> (start rule (g, p, seed, prior) -> angles, whether BFGS runs from it);
+# a kind without BFGS is evaluated at its start as-is
+_START_RULES = {
+    # uniform random angles in [-pi, pi)
+    "normal": (_seeded(init_uniform_random), True),
+    # the cell's normal result snapped to pi/8 multiples
+    "rounded_no_opt": (_round_prior, False),
+    # random pi/8 multiples
+    "random_pi8_opt": (_seeded(init_random_pi8), True),
+    # random pi/8 multiples, zero at every maximum-degree vertex
+    "max_degree_zero_no_opt": (_seeded(init_max_degree_zero), False),
+    "max_degree_zero_opt": (_seeded(init_max_degree_zero), True),
+}
 
 
 def run_strategy(
     g: Graph,
-    spec: StrategySpec,
+    kind: str,
+    p: int,
+    seed: int,
     prior: ExperimentRecord | None = None,
     replicate: int = 0,
 ) -> ExperimentRecord:
     """Execute one strategy on one graph and package the outcome.
 
-    Approximation ratios divide the expected cut by the exact MaxCut value;
-    an edgeless graph counts as ratio 1. Stored angles are normalized to
-    [-pi, pi). Non-optimizing strategies report zero iterations and a single
-    evaluation.
+    `prior` is the normal record of the same cell, which rounded_no_opt
+    rounds; the other kinds ignore it. Approximation ratios divide the
+    expected cut by the exact MaxCut value; an edgeless graph counts as
+    ratio 1. Stored angles are normalized to [-pi, pi). Non-optimizing
+    strategies report zero iterations and a single evaluation.
     """
+    if kind not in STRATEGY_KINDS:
+        raise ValueError(f"unknown strategy {kind!r}")
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    start_rule, optimizes = _START_RULES[kind]
     start_time = time.perf_counter()
     best = max_cut(g)
 
     def ratio(value: float) -> float:
         return value / best if best else 1.0
 
-    kind = spec.kind
-    if kind in _OPTIMIZING:
-        if kind == "normal":
-            start = init_uniform_random(g, spec.p, spec.seed)
-        elif kind == "random_pi8_opt":
-            start = init_random_pi8(g, spec.p, spec.seed)
-        else:
-            start = init_max_degree_zero(g, spec.p, spec.seed)
+    start = start_rule(g, p, seed, prior)
+    if optimizes:
         result = optimize_angles(g, start)
         final = normalize_angles(result.final_angles)
         initial_value = result.trace[0]
@@ -174,12 +167,8 @@ def run_strategy(
         evaluations = result.function_evaluations
         converged = result.converged
     else:
-        if kind == "rounded_no_opt":
-            angles = round_angles(_prior_angles(g, spec.p, prior))
-        else:  # max_degree_zero_no_opt
-            angles = init_max_degree_zero(g, spec.p, spec.seed)
-        final = normalize_angles(angles)
-        final_value = expectation(g, run_circuit(g, angles))
+        final = normalize_angles(start)
+        final_value = expectation(g, run_circuit(g, start))
         initial_value = final_value
         iterations = 0
         evaluations = 1
@@ -191,10 +180,10 @@ def run_strategy(
         n=g.n,
         edge_count=g.edge_count,
         edges=g.edges,
-        p=spec.p,
+        p=p,
         strategy=kind,
         replicate=replicate,
-        seed=spec.seed,
+        seed=seed,
         initial_ar=ratio(initial_value),
         final_ar=ratio(final_value),
         final_angles=tuple(float(a) for a in final.flatten()),

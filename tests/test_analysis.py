@@ -15,7 +15,6 @@ from maqaoa import (
     init_random_pi8,
     max_degree_zero_fraction,
     run_strategy,
-    StrategySpec,
 )
 from maqaoa.analysis import HISTOGRAM_BINS, HISTOGRAM_BIN_LEFT_EDGES
 
@@ -95,9 +94,7 @@ def test_angle_concentration_histogram_placement(k2):
 # ----- max-degree zero fraction -----
 
 def test_max_degree_zero_fraction_by_construction(star4):
-    record = run_strategy(
-        star4, StrategySpec(kind="max_degree_zero_no_opt", seed=2, p=2)
-    )
+    record = run_strategy(star4, "max_degree_zero_no_opt", 2, 2)
     assert max_degree_zero_fraction([record]) == 1.0
 
 

@@ -223,19 +223,29 @@ def test_read_records_rejects_empty(tmp_path):
 
 def test_read_records_rejects_unknown_strategy(tmp_path):
     """An unknown strategy, and every cell `report` would misread, is
-    rejected with the file and line of the bad record."""
+    rejected with the file and line of the bad record, before `report`
+    writes anything."""
     config = RunConfig(
         dataset="builtin:n3", p_values=(1,), strategies=("max_degree_zero_no_opt",)
     )
     first, second = run_experiment(config)
     good = second.to_row()
+    angles = good[10].split(";")
     bad_rows = {
         "unknown strategy 'bogus'": {5: "bogus"},
         "converged must be 'true' or 'false', got 'True'": {13: "True"},
         "edge_count 4 != 3 listed edges": {2: str(second.edge_count + 1)},
         "expected 6 final angles for p=1, 3 edges, 3 vertices; got 5":
             {10: good[10].rsplit(";", 1)[0]},
+        "edge (1, 7) out of range for n=3": {3: "0-1;0-2;1-7"},
+        "edges must be sorted pairs u-v with u < v": {3: "0-1;0-2;2-1"},
+        "p must be >= 1, got 0": {4: "0", 10: ""},
+        "final_ar must be finite, got nan": {9: "nan"},
+        "final angles must be finite": {10: ";".join(["nan", *angles[1:]])},
+        f"cell ({first.graph_id!r}, 1, 'max_degree_zero_no_opt', 0) repeats line 2":
+            dict(enumerate(first.to_row())),
     }
+    assert good[3] == "0-1;0-2;1-2"
     for message, cells in bad_rows.items():
         row = [cells.get(i, cell) for i, cell in enumerate(good)]
         path = tmp_path / "records.csv"
@@ -243,8 +253,24 @@ def test_read_records_rejects_unknown_strategy(tmp_path):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerows([CSV_HEADER, first.to_row(), row])
         # the header is line 1, so the bad record sits on line 3
-        with pytest.raises(ValueError, match=rf"records\.csv, line 3: {re.escape(message)}$"):
+        pattern = rf"records\.csv, line 3: {re.escape(message)}$"
+        with pytest.raises(ValueError, match=pattern):
             read_records(path)
+        with pytest.raises(ValueError, match=pattern):
+            report(path, tmp_path / "report")
+        assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("dataset", ["builtin:n1", "builtin:n2"])
+def test_records_with_empty_cells_roundtrip_and_report(dataset, tmp_path):
+    out = tmp_path / "run"
+    config = RunConfig(dataset=dataset, p_values=(1, 2), seed=4, out_dir=str(out))
+    rows = [r.to_row() for r in run_experiment(config)]
+    assert [r.to_row() for r in read_records(out / "records.csv")] == rows
+    # the one-vertex graph has no edges, so its edges cell is empty
+    assert any(row[3] == "" for row in rows) == (dataset == "builtin:n1")
+    files = report(out / "records.csv", tmp_path / "report")
+    assert "ar_difference_summary.csv" in {f.name for f in files}
 
 
 # ----- report -----

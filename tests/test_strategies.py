@@ -9,7 +9,6 @@ from maqaoa import (
     Graph,
     PI8,
     STRATEGY_KINDS,
-    StrategySpec,
     apply_cost_phase,
     apply_mixer_rotation,
     expectation,
@@ -181,18 +180,20 @@ def test_init_max_degree_zero_path(path4):
 
 # ----- run_strategy -----
 
-def test_strategy_spec_validation():
-    with pytest.raises(ValueError):
-        StrategySpec(kind="bogus", seed=0, p=1)
-    with pytest.raises(ValueError):
-        StrategySpec(kind="normal", seed=0, p=0)
-    assert StrategySpec(kind="rounded_no_opt", seed=0, p=1).requires_prior
-    assert not StrategySpec(kind="normal", seed=0, p=1).requires_prior
+def test_run_strategy_validation(k2):
+    with pytest.raises(ValueError, match=r"^unknown strategy 'bogus'$"):
+        run_strategy(k2, "bogus", 1, 0)
+    with pytest.raises(ValueError, match=r"^p must be >= 1, got 0$"):
+        run_strategy(k2, "normal", 0, 0)
+    # every kind runs given the cell's normal record; only rounded_no_opt reads it
+    normal = run_strategy(k2, "normal", 1, 0)
+    for kind in STRATEGY_KINDS:
+        assert run_strategy(k2, kind, 1, 0, prior=normal).strategy == kind
 
 
 def test_optimizing_strategies_solve_k2(k2):
     for kind in ("normal", "random_pi8_opt"):
-        record = run_strategy(k2, StrategySpec(kind=kind, seed=11, p=1))
+        record = run_strategy(k2, kind, 1, 11)
         assert abs(record.final_ar - 1.0) < 1e-6, kind
         assert record.converged
         assert record.final_ar >= record.initial_ar - 1e-12
@@ -201,20 +202,20 @@ def test_optimizing_strategies_solve_k2(k2):
 def test_max_degree_zero_opt_sticks_on_regular_graphs(k2):
     # every vertex of a regular graph is max-degree, so the start is the
     # all-zero vector, an exact stationary point: the optimizer stays put
-    record = run_strategy(k2, StrategySpec(kind="max_degree_zero_opt", seed=11, p=1))
+    record = run_strategy(k2, "max_degree_zero_opt", 1, 11)
     assert record.iterations == 0
     assert record.converged
     assert record.initial_ar == record.final_ar == 0.5
 
 
 def test_max_degree_zero_opt_improves_off_regular_graphs(star4):
-    record = run_strategy(star4, StrategySpec(kind="max_degree_zero_opt", seed=11, p=1))
+    record = run_strategy(star4, "max_degree_zero_opt", 1, 11)
     assert record.converged
     assert record.final_ar > record.initial_ar + 0.1
 
 
 def test_no_opt_strategies_report_zero_iterations(k4):
-    record = run_strategy(k4, StrategySpec(kind="max_degree_zero_no_opt", seed=12, p=1))
+    record = run_strategy(k4, "max_degree_zero_no_opt", 1, 12)
     assert record.iterations == 0
     assert record.function_evaluations == 1
     assert record.initial_ar == record.final_ar
@@ -224,23 +225,19 @@ def test_no_opt_strategies_report_zero_iterations(k4):
 def test_max_degree_zero_no_opt_k4_ar(k4):
     # the all-zero start leaves the uniform superposition: <C> = |E|/2 = 3,
     # MaxCut = 4, so AR = 0.75
-    record = run_strategy(k4, StrategySpec(kind="max_degree_zero_no_opt", seed=13, p=2))
+    record = run_strategy(k4, "max_degree_zero_no_opt", 2, 13)
     assert abs(record.final_ar - 0.75) < 1e-12
 
 
 def test_rounded_no_opt_requires_prior(path4):
     with pytest.raises(ValueError):
-        run_strategy(path4, StrategySpec(kind="rounded_no_opt", seed=14, p=1))
+        run_strategy(path4, "rounded_no_opt", 1, 14)
 
 
 def test_rounded_no_opt_fixed_point(triangle):
-    normal = run_strategy(triangle, StrategySpec(kind="normal", seed=15, p=1))
-    rounded = run_strategy(
-        triangle, StrategySpec(kind="rounded_no_opt", seed=15, p=1), prior=normal
-    )
-    twice = run_strategy(
-        triangle, StrategySpec(kind="rounded_no_opt", seed=15, p=1), prior=rounded
-    )
+    normal = run_strategy(triangle, "normal", 1, 15)
+    rounded = run_strategy(triangle, "rounded_no_opt", 1, 15, prior=normal)
+    twice = run_strategy(triangle, "rounded_no_opt", 1, 15, prior=rounded)
     # rounding an already-rounded record changes nothing
     assert twice.final_ar == rounded.final_ar
     assert twice.final_angles == rounded.final_angles
@@ -252,7 +249,7 @@ def test_record_angles_reproduce_final_ar(four_vertex_graphs):
 
     for g in four_vertex_graphs[:3]:
         for kind in ("normal", "max_degree_zero_no_opt"):
-            record = run_strategy(g, StrategySpec(kind=kind, seed=16, p=2))
+            record = run_strategy(g, kind, 2, 16)
             value = expectation(g, run_circuit(g, record.angle_vector()))
             assert abs(value / max_cut(g) - record.final_ar) < 1e-10
             assert 0.0 <= record.final_ar <= 1.0
@@ -262,7 +259,7 @@ def test_record_angles_reproduce_final_ar(four_vertex_graphs):
 
 def test_edgeless_graph_gets_ar_one():
     g = Graph(2)
-    record = run_strategy(g, StrategySpec(kind="normal", seed=17, p=1))
+    record = run_strategy(g, "normal", 1, 17)
     assert record.final_ar == 1.0
 
 
