@@ -184,22 +184,26 @@ def report(records_path, out_dir) -> list[Path]:
     """
     records = read_records(records_path)
     blocks: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
+    cells = set()
     for record in records:
+        cell = (record.graph_id, record.p, record.strategy, record.replicate)
+        if cell in cells:
+            raise ValueError(f"{records_path}: cell {cell} appears twice")
+        cells.add(cell)
         blocks.setdefault(report_key(record), []).append(record)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
 
-    def emit(name: str, columns: str, rows) -> None:
-        """Write one table under the space-separated header `columns`."""
+    def emit(name: str, header, rows) -> None:
         path = out / name
-        with csv_table(path, columns.split()) as write:
+        with csv_table(path, header) as write:
             write(rows)
         written.append(path)
 
     emit(
         "aggregate.csv",
-        "n p strategy mean_ar std_ar graph_count",
+        ("n", "p", "strategy", "mean_ar", "std_ar", "graph_count"),
         (
             (
                 row.n,
@@ -243,13 +247,28 @@ def report(records_path, out_dir) -> list[Path]:
 
     emit(
         "angle_concentration.csv",
-        "n p strategy total_angles pi8_multiples pi8_fraction gamma_count beta_count",
+        (
+            "n",
+            "p",
+            "strategy",
+            "total_angles",
+            "pi8_multiples",
+            "pi8_fraction",
+            "gamma_count",
+            "beta_count",
+        ),
         concentration_rows,
     )
-    emit("angle_histogram.csv", "n p strategy bin_left count", histogram_rows)
-    emit("max_degree_zero.csv", "n p strategy zero_fraction", zero_rows)
     emit(
-        "forest_summary.csv", "n p strategy mean_acyclic_fraction records", forest_rows
+        "angle_histogram.csv",
+        ("n", "p", "strategy", "bin_left", "count"),
+        histogram_rows,
+    )
+    emit("max_degree_zero.csv", ("n", "p", "strategy", "zero_fraction"), zero_rows)
+    emit(
+        "forest_summary.csv",
+        ("n", "p", "strategy", "mean_acyclic_fraction", "records"),
+        forest_rows,
     )
 
     summary_rows = []
@@ -280,13 +299,20 @@ def report(records_path, out_dir) -> list[Path]:
     if summary_rows:
         emit(
             "ar_difference_summary.csv",
-            "n p comparison pairs mean_difference same_ar_fraction"
-            " other_ge_base_fraction",
+            (
+                "n",
+                "p",
+                "comparison",
+                "pairs",
+                "mean_difference",
+                "same_ar_fraction",
+                "other_ge_base_fraction",
+            ),
             summary_rows,
         )
         emit(
             "ar_difference_histogram.csv",
-            "n p comparison bin_left count",
+            ("n", "p", "comparison", "bin_left", "count"),
             diff_histogram_rows,
         )
     return written

@@ -168,29 +168,20 @@ def write_records(records, path) -> None:
 
 
 def read_records(path) -> list[ExperimentRecord]:
-    """Every record of a records CSV; a bad row or a repeated cell names its line.
-
-    A cell is (graph_id, p, strategy, replicate); a file holds each at most once.
-    """
+    """Every record of a records CSV; a row that fails to decode names its line."""
     with open(path, "r", encoding="ascii", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != list(CSV_HEADER):
             raise ValueError(f"unexpected header in {path}: {header}")
         records = []
-        cell_lines: dict[tuple, int] = {}
         for row in reader:
             if not row:
                 continue
             try:
-                record = ExperimentRecord.from_row(row)
-                cell = (record.graph_id, record.p, record.strategy, record.replicate)
-                if cell in cell_lines:
-                    raise ValueError(f"cell {cell} repeats line {cell_lines[cell]}")
+                records.append(ExperimentRecord.from_row(row))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
-            cell_lines[cell] = reader.line_num
-            records.append(record)
     if not records:
         raise ValueError(f"no records in {path}")
     return records

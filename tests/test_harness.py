@@ -224,7 +224,7 @@ def test_read_records_rejects_empty(tmp_path):
 def test_read_records_rejects_unknown_strategy(tmp_path):
     """An unknown strategy, and every cell `report` would misread, is
     rejected with the file and line of the bad record, before `report`
-    writes anything."""
+    writes anything; `report` also refuses a repeated cell."""
     config = RunConfig(
         dataset="builtin:n3", p_values=(1,), strategies=("max_degree_zero_no_opt",)
     )
@@ -242,8 +242,6 @@ def test_read_records_rejects_unknown_strategy(tmp_path):
         "p must be >= 1, got 0": {4: "0", 10: ""},
         "final_ar must be finite, got nan": {9: "nan"},
         "final angles must be finite": {10: ";".join(["nan", *angles[1:]])},
-        f"cell ({first.graph_id!r}, 1, 'max_degree_zero_no_opt', 0) repeats line 2":
-            dict(enumerate(first.to_row())),
     }
     assert good[3] == "0-1;0-2;1-2"
     for message, cells in bad_rows.items():
@@ -259,6 +257,14 @@ def test_read_records_rejects_unknown_strategy(tmp_path):
         with pytest.raises(ValueError, match=pattern):
             report(path, tmp_path / "report")
         assert not (tmp_path / "report").exists()
+    # a repeated (graph_id, p, strategy, replicate) cell reads, but `report`
+    # refuses it before it writes anything
+    write_records([first, second, first], path)
+    assert len(read_records(path)) == 3
+    cell = (first.graph_id, 1, "max_degree_zero_no_opt", 0)
+    with pytest.raises(ValueError, match=re.escape(f"cell {cell} appears twice")):
+        report(path, tmp_path / "report")
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("dataset", ["builtin:n1", "builtin:n2"])
