@@ -312,8 +312,9 @@ def optimize_angles(
     nv = g.n
 
     def objective(flat):
-        # views, not copies: the optimizer never writes to a point it has
-        # evaluated, it only builds new ones
+        # views, not copies, which AngleVector keeps as they are: the
+        # optimizer never writes to a point it has evaluated, it only builds
+        # new ones, and the oracle never writes its angles
         layers = flat.reshape(p, m + nv)
         return expectation_and_gradient(g, AngleVector(layers[:, :m], layers[:, m:]))
 

@@ -49,8 +49,8 @@ class AngleVector:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        gamma = np.atleast_2d(np.asarray(self.gamma, dtype=np.float64))
-        beta = np.atleast_2d(np.asarray(self.beta, dtype=np.float64))
+        gamma = _layers(self.gamma)
+        beta = _layers(self.beta)
         if gamma.ndim != 2 or beta.ndim != 2:
             raise ValueError("gamma and beta must be 2-D (layers, angles)")
         if gamma.shape[0] != beta.shape[0]:
@@ -72,7 +72,7 @@ class AngleVector:
 
     def flatten(self) -> np.ndarray:
         """Flat view: [gamma_1, beta_1, gamma_2, beta_2, ...]."""
-        return np.hstack([self.gamma, self.beta]).ravel()
+        return np.concatenate((self.gamma, self.beta), axis=1).ravel()
 
     @classmethod
     def unflatten(
@@ -87,6 +87,13 @@ class AngleVector:
             )
         layers = flat.reshape(p, width)
         return cls(layers[:, :edge_count].copy(), layers[:, edge_count:].copy())
+
+
+def _layers(angles) -> np.ndarray:
+    """angles as a float64 array of at least two dimensions, not copied if it is one."""
+    if type(angles) is np.ndarray and angles.ndim == 2 and angles.dtype == np.float64:
+        return angles  # the optimizer's per-point views
+    return np.atleast_2d(np.asarray(angles, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +123,9 @@ class _CostTables:
             phase += self._cross_phase(gammas)
         return phase.ravel()
 
-    def _cross_phase(self, gammas: np.ndarray) -> np.ndarray:
+    def _cross_phase(self, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         c = self.cross
-        return (self.high[:, c] * (-2.0 * gammas[c])) @ self.low[:, c].T
+        return np.matmul(self.high[:, c] * (-2.0 * gammas[c]), self.low[:, c].T, out=out)
 
     def factors(self, angles: np.ndarray) -> np.ndarray:
         """exp(-i * low @ a), then exp(-i * high @ a), for every row a of angles.
@@ -138,35 +145,45 @@ class _CostTables:
 
     def multiply(
         self, states: np.ndarray, factors: np.ndarray, gammas: np.ndarray,
-        spare: np.ndarray, undo: bool = False,
+        out: np.ndarray, spare: np.ndarray, undo: bool = False,
     ) -> None:
-        """Multiply states in place by one layer's diagonal exp(-i * phase(gammas)).
+        """Multiply states by one layer's diagonal exp(-i * phase(gammas)), into out.
 
-        `states` holds one or more 2^n states and `factors` is that layer's
-        row of `factors(...)`, conjugated to undo the layer. Only crossing
-        terms need a factor per amplitude; those are built in `spare`, the
-        size of one state, as exp(+i * phase) when `undo` is set.
+        `states` holds one or more 2^n states, `out` is their shape and may
+        be `states`, and `factors` is that layer's row of `factors(...)`,
+        conjugated to undo the layer. Only crossing terms need a factor per
+        amplitude; those are built in place in `spare`, the size of one state
+        and apart from `out`, as exp(+i * phase) when `undo` is set.
         """
         b = len(self.low)
-        view = states.reshape(-1, len(self.high), b)
-        view *= factors[:b]
-        if len(self.high) > 1:
-            view *= factors[b:, None]
-            if len(self.cross):
-                f = spare.reshape(view.shape[1:])
-                np.multiply(self._cross_phase(gammas), 1j if undo else -1j, out=f)
-                view *= np.exp(f, out=f)
+        if len(self.high) == 1:
+            np.multiply(states, factors[:b], out=out)
+            return
+        view = out.reshape(-1, len(self.high), b)
+        np.multiply(states.reshape(view.shape), factors[:b], out=view)
+        view *= factors[b:, None]
+        if len(self.cross):
+            f = spare.reshape(view.shape[1:])
+            # the imaginary part of -i * phase(gammas) is phase(-gammas)
+            self._cross_phase(gammas if undo else -gammas, out=f.imag)
+            f.real = 0.0
+            view *= np.exp(f, out=f)
 
     def contract(self, w: np.ndarray, out: np.ndarray) -> None:
-        """Per term, the sum of a real 2^n vector weighted by that term, into out."""
-        w = w.reshape(len(self.high), len(self.low))
+        """Per row and term, the sum of a real 2^n row of w weighted by that term.
+
+        w is (rows, 2^n), out (rows, terms).
+        """
+        w = w.reshape(len(w), len(self.high), len(self.low))
         if len(self.high) == 1:
-            np.matmul(w[0], self.low, out=out)
+            np.matmul(w[:, 0], self.low, out=out)
             return
-        np.matmul(w.sum(axis=0), self.low, out=out)
+        np.matmul(w.sum(axis=1), self.low, out=out)
         c = self.cross
-        out += w.sum(axis=1) @ self.high
-        out[c] -= 2.0 * ((self.high[:, c].T @ w) * self.low[:, c].T).sum(axis=1)
+        out += w.sum(axis=2) @ self.high
+        both = self.high[:, c].T @ w  # (rows, crossing terms, 2^b)
+        both *= self.low[:, c].T
+        out[:, c] -= 2.0 * both.sum(axis=2)
 
 
 def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -221,38 +238,61 @@ def _hadamard(k: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _complex_hadamard(k: int) -> np.ndarray:
-    """_hadamard(k) as complex128, so the lowest chunk's matmul casts nothing."""
-    h = _hadamard(k).astype(np.complex128)
+def _pair_hadamard(k: int) -> np.ndarray:
+    """kron(_hadamard(k), I_2): _hadamard(k) acting on the float view of 2^k amplitudes."""
+    h = np.kron(_hadamard(k), np.eye(2))
     h.flags.writeable = False
     return h
 
 
-def _transform(states: np.ndarray, spare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Apply H^n to every 2^n row of `states`, a C-contiguous (..., 2^n) array.
+class _Block:
+    """Rows of 2^n-amplitude states, with H^n from any row into any other.
 
-    `spare` is a work buffer of the same shape. Returns (result, other): the
-    buffer that holds the transformed rows and the one left as scratch.
     The qubits go in ceil(n / _WHT_BITS) near-equal chunks, lowest first,
-    one matmul each, alternating between the two buffers. Above the lowest
-    chunk H is real and acts on whole rows, so it runs on the float view.
+    one real matmul each on the float view (2 doubles per amplitude): the
+    lowest right-multiplies every run of 2^k amplitudes by kron(H_k, I_2),
+    a higher chunk left-multiplies by H_k. The float view of the block is
+    shaped once per chunk, so a transform only indexes rows.
     """
-    n = states.shape[-1].bit_length() - 1
-    chunks = -(-n // _WHT_BITS)
-    src, dst = states, spare
-    lo = 0
-    for c in range(chunks):
-        k = (n + c) // chunks  # near-equal sizes summing to n
-        if lo:
-            shape = (-1, 1 << k, 2 << lo)  # float view: 2 doubles per amplitude
-            np.matmul(_hadamard(k), src.view(np.float64).reshape(shape),
-                      out=dst.view(np.float64).reshape(shape))
-        else:
-            np.matmul(src.reshape(-1, 1 << k), _complex_hadamard(k),
-                      out=dst.reshape(-1, 1 << k))
-        src, dst = dst, src
-        lo += k
-    return src, dst
+
+    def __init__(self, rows: int, n: int) -> None:
+        # one allocation, not one per row: once freed, a block this size lifts
+        # glibc's mmap and trim thresholds above itself, so later calls reuse
+        # its pages
+        self.states = np.empty((rows, 1 << n), dtype=np.complex128)
+        floats = self.states.view(np.float64)
+        chunks = -(-n // _WHT_BITS)
+        self._chunks = []  # (matrix, whether it multiplies from the left, view)
+        lo = 0
+        for c in range(chunks):
+            k = (n + c) // chunks  # near-equal sizes summing to n
+            if lo:
+                # the top chunk leaves one 2-D block per row, a middle one a stack
+                shape = (rows, 1 << k, 2 << lo) if lo + k == n else (rows, -1, 1 << k, 2 << lo)
+                self._chunks.append((_hadamard(k), True, floats.reshape(shape)))
+            else:
+                self._chunks.append((_pair_hadamard(k), False, floats.reshape(rows, -1, 2 << k)))
+            lo += k
+
+    def transform(self, src: int, dst: int, spare: int) -> None:
+        """Write H^n of row src into row dst, through row spare.
+
+        Row src is never written unless it is dst. The chunks alternate
+        between dst and spare so that the last lands in dst; in place, an
+        odd number of them lands in spare and is copied back.
+        """
+        odd = len(self._chunks) % 2
+        out, other = (dst, spare) if odd and dst != src else (spare, dst)
+        for h, left, view in self._chunks:
+            if not left:
+                np.dot(view[src], h, out=view[out])
+            elif view.ndim == 3:
+                np.dot(h, view[src], out=view[out])
+            else:
+                np.matmul(h, view[src], out=view[out])
+            src, out, other = out, other, out
+        if src != dst:
+            self.states[dst] = self.states[src]
 
 
 @lru_cache(maxsize=256)
@@ -320,32 +360,46 @@ def _check_angles(g: Graph, angles: AngleVector) -> None:
 
 
 def _forward(
-    g: Graph, angles: AngleVector, psi: np.ndarray, spare: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the circuit on psi, which holds the plus state, in place.
+    g: Graph, angles: AngleVector, rows: int, ring: int, out: int, spare: int
+) -> tuple[_Block, np.ndarray, np.ndarray]:
+    """Run the circuit from the plus state in a new block of `rows` states.
 
-    `spare` is a work buffer the size of psi. Every layer transforms twice,
-    so the final state ends in psi. Returns the cost and mixer factor
-    tables of every layer (see _CostTables.factors).
+    The final state goes to row `out`. Rows 0 .. ring - 1 keep the state at
+    the two points per layer where the adjoint reads that layer's gradient:
+    layer l's state after its cost diagonal, in the computational basis,
+    goes to row 2l mod ring, and its state after its mixer diagonal, in the
+    Hadamard basis, to row 2l + 1 mod ring; a ring of one row keeps only
+    the current state. Row `spare` is a work buffer.
+    Returns the block and the cost and mixer factor tables of every layer
+    (see _CostTables.factors), which are built before the block so that
+    their temporaries never add to its peak.
     """
     tables = _cost_tables(g)
     spins = _spin_tables(g.n)
     cost = tables.factors(angles.gamma)
     mix = spins.factors(angles.beta)
+    block = _Block(rows, g.n)
+    states = block.states
+    ket = 0
+    states[ket].fill(states.shape[1] ** -0.5)  # the plus state
     for layer in range(angles.p):
-        tables.multiply(psi, cost[layer], angles.gamma[layer], spare)
-        psi, spare = _transform(psi, spare)
-        spins.multiply(psi, mix[layer], angles.beta[layer], spare)
-        psi, spare = _transform(psi, spare)
-    return cost, mix
+        tables.multiply(states[ket], cost[layer], angles.gamma[layer], states[ket],
+                        states[spare])
+        mixed = (2 * layer + 1) % ring
+        block.transform(ket, mixed, spare)
+        spins.multiply(states[mixed], mix[layer], angles.beta[layer], states[mixed],
+                       states[spare])
+        ket = (2 * layer + 2) % ring if layer + 1 < angles.p else out
+        block.transform(mixed, ket, spare)
+    return block, cost, mix
 
 
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     """Full circuit: plus state, then per layer all edge phases, all rotations."""
     _check_angles(g, angles)
-    psi = prepare_plus_state(g.n)
-    _forward(g, angles, psi, np.empty_like(psi))
-    return psi
+    # every transform in place in row 0, through row 1
+    block, _, _ = _forward(g, angles, 2, 1, 0, 1)
+    return block.states[0].copy()
 
 
 def expectation(g: Graph, state: StateVector) -> float:
@@ -389,22 +443,28 @@ class _LightCone:
     the formula of Herrman et al. 2022 (Sci. Rep. 12:6781), which reduces to
     that of Wang et al. 2018 (PRA 97:022304) at uniform angles.
 
-    Every term is coef times a product of factors cos(lift @ theta + shift),
-    theta the flat [gamma, beta] vector; a sine has shift -pi/2. Row t of
+    Every term is coef times a product of factors cos(w . theta[c] + shift),
+    theta the flat [gamma, beta] vector, c a factor's row of `columns` and w
+    its row of `weights`; a sine has shift -pi/2. Each factor reads one or
+    two angles, so the tables grow with edges times degree. Row t of
     `index` lists term t's factors, padded with len(shift), a factor fixed
     at 1. The derivative of a product takes the product of the other
     factors from prefix and suffix products, never a division: the pi/8
     starts put cosines at zero.
     """
 
-    lift: np.ndarray  # (factors, m + n)
+    columns: np.ndarray  # (factors, 2), indices into theta
+    weights: np.ndarray  # (factors, 2), 0 for a factor of one angle
     shift: np.ndarray  # (factors,)
     index: np.ndarray  # (terms, width)
     coef: np.ndarray  # (terms,)
     offset: float  # m / 2
 
     def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        arg = self.lift @ theta + self.shift
+        # the weights are +-1, 2 and 0, so every product here is exact
+        pairs = theta[self.columns]
+        pairs *= self.weights
+        arg = pairs[:, 0] + pairs[:, 1] + self.shift
         factors = np.ones(len(arg) + 1)
         np.cos(arg, out=factors[:-1])
         x = factors[self.index]
@@ -416,7 +476,8 @@ class _LightCone:
         value = self.offset + self.coef @ before[:, width]
         others = before[:, :width] * after[:, 1:] * self.coef[:, None]
         weight = np.bincount(self.index.ravel(), others.ravel(), len(factors))[:-1]
-        return float(value), (weight * -np.sin(arg)) @ self.lift
+        slopes = self.weights * (weight * -np.sin(arg))[:, None]
+        return float(value), np.bincount(self.columns.ravel(), slopes.ravel(), len(theta))
 
 
 @lru_cache(maxsize=256)
@@ -459,18 +520,20 @@ def _light_cone(g: Graph) -> _LightCone:
                          for w in common]
                 terms.append((0.25 * sign, outer + pairs))
 
-    lift = np.zeros((len(rows), m + g.n))
+    columns = np.zeros((len(rows), 2), dtype=np.intp)
+    weights = np.zeros((len(rows), 2))
     shift = np.empty(len(rows))
-    for (phase, columns), f in rows.items():
+    for (phase, pairs), f in rows.items():
         shift[f] = phase
-        for column, weight in columns:
-            lift[f, column] = weight
+        for j, (column, weight) in enumerate(pairs):
+            columns[f, j] = column
+            weights[f, j] = weight
     width = max((len(fs) for _, fs in terms), default=1)
     index = np.full((len(terms), width), len(rows), dtype=np.intp)
     for t, (_, fs) in enumerate(terms):
         index[t, :len(fs)] = fs
     coef = np.array([c for c, _ in terms])
-    return _LightCone(lift, shift, index, coef, m / 2)
+    return _LightCone(columns, weights, shift, index, coef, m / 2)
 
 
 def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
@@ -488,49 +551,51 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
 def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     """expectation_and_gradient on the statevector, for any number of layers.
 
-    The gradient is computed by reverse-mode (adjoint) differentiation: one
-    forward pass, then a backward sweep holding two states. Every gate
-    exp(-i*t*G) commutes with its generator G and with the rest of its
-    layer, so all of a layer's derivatives are read off at the layer
-    boundary as 2*Im(<bra|G|ket>) before both states are stepped back.
-    The beta derivatives are read in the Hadamard basis, where X_v is the
-    diagonal 1 - 2 z_v. Bra and ket are one (2, 2^n) pair: each transform
-    and each undo acts on both, the undo multiplying by the conjugates of
-    the forward pass's phase factors.
+    The gradient is computed by reverse-mode (adjoint) differentiation. Every
+    gate exp(-i*t*G) commutes with its generator G and with the rest of its
+    layer, so all of a layer's derivatives are 2*Im(<bra|G|ket>) at one
+    point of the layer: the gammas' just after its cost diagonal, the
+    betas' just after its mixer diagonal in the Hadamard basis, where X_v
+    is the diagonal 1 - 2 z_v. The forward pass keeps the ket at both
+    points of every layer; the backward pass steps the bra alone back
+    through the layers, undoing each diagonal with the conjugates of the
+    forward pass's phase factors, and keeps it at the same points. All
+    derivatives are then read from one product of the two blocks, one
+    contraction per diagonal. A call holds 4p + 2 states.
     """
     p = angles.p
     m = g.edge_count
     n = g.n
     tables = _cost_tables(g)
     spins = _spin_tables(n)
-    cuts = cut_values(g)
 
-    # one block, not two: once freed, a block this size lifts glibc's mmap
-    # and trim thresholds above itself, so later calls reuse its pages
-    # (two 2-state blocks at n=16 faulted 1,152 pages in on every call)
-    pair, other = np.empty((2, 2, 1 << n), dtype=np.complex128)
-    bra, ket = pair
-    ket.fill((1 << n) ** -0.5)
-    cost, mix = _forward(g, angles, ket, other[0])
-    undo_cost = np.conjugate(cost, out=cost)
-    undo_mix = np.conjugate(mix, out=mix)
-    np.multiply(cuts, ket, out=bra)
-    value = float(np.vdot(ket, bra).real)
-
-    grad = np.empty((p, m + n), dtype=np.float64)
+    bra, spare = 4 * p, 4 * p + 1
+    # the final state lands in the backward pass's spare row, and the
+    # forward pass works through the bra's row
+    block, cost, mix = _forward(g, angles, 4 * p + 2, 2 * p, spare, bra)
+    states = block.states
+    kets, bras = states[:2 * p], states[2 * p:4 * p]
+    np.multiply(cut_values(g), states[spare], out=states[bra])
+    value = float(np.vdot(states[spare], states[bra]).real)
+    # conjugated, the factors undo their layers
+    np.conjugate(cost, out=cost)
+    np.conjugate(mix, out=mix)
     for layer in reversed(range(p)):
-        pair, other = _transform(pair, other)
-        # <bra|X_v|ket> = <H bra|Z_v|H ket>, Z_v = 1 - 2 z_v on every state
-        w = np.conjugate(pair[0], out=other[0])
-        spins.contract(np.multiply(w, pair[1], out=w).imag, grad[layer, m:])
-        spins.multiply(pair, undo_mix[layer], angles.beta[layer], other[0])
-        pair, other = _transform(pair, other)
-        if m:
-            w = np.conjugate(pair[0], out=other[0])
-            tables.contract(np.multiply(w, pair[1], out=w).imag, grad[layer, :m])
-            if layer:
-                # states below layer 0 are never read, skip the last undo
-                tables.multiply(pair, undo_cost[layer], angles.gamma[layer],
-                                other[0], undo=True)
+        after_cost, after_mixer = 2 * p + 2 * layer, 2 * p + 2 * layer + 1
+        block.transform(bra, after_mixer, spare)
+        spins.multiply(states[after_mixer], mix[layer], angles.beta[layer],
+                       states[bra], states[spare], undo=True)
+        block.transform(bra, after_cost, spare)
+        if layer:
+            # states below layer 0 are never read, skip the last undo
+            tables.multiply(states[after_cost], cost[layer], angles.gamma[layer],
+                            states[bra], states[spare], undo=True)
+    del cost, mix  # the readouts' temporaries may take their place
+
+    w = np.conjugate(bras, out=bras)
+    w = np.multiply(w, kets, out=w).imag
+    grad = np.empty((p, m + n), dtype=np.float64)
+    tables.contract(w[0::2], grad[:, :m])
+    spins.contract(w[1::2], grad[:, m:])
     grad *= 2.0
     return value, grad.ravel()

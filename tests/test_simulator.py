@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from maqaoa import (
     prepare_plus_state,
     run_circuit,
 )
-from maqaoa.simulator import _LO_BITS, _adjoint, _transform
+from maqaoa.simulator import _LO_BITS, _Block, _adjoint, _cost_tables, _light_cone, _spin_tables
 from conftest import random_angles
 from oracles import (
     dense_circuit,
@@ -411,20 +413,65 @@ def test_gradient_matches_finite_differences_across_split(g, p):
 
 @pytest.mark.parametrize("n", [1, 6, 7, 13])
 def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
-    """On one state and on a (2, 2^n) stack, whose rows transform alone."""
+    """From one row of a block into another, and in place, in one, two and
+    three chunks; the source row is never written, since the adjoint
+    transforms its stored rows."""
     rng = np.random.default_rng(16)
-    stack = rng.normal(size=(2, 1 << n)) + 1j * rng.normal(size=(2, 1 << n))
-    dense = None
+    block = _Block(3, n)
+    states = block.states
+    states[0] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    source = states[0].copy()
+    block.transform(0, 1, 2)
+    np.testing.assert_array_equal(states[0], source)
     if n <= 7:
         dense = np.ones((1, 1))
         for _ in range(n):
             dense = np.kron(dense, [[1, 1], [1, -1]]) / np.sqrt(2)
-    for states in (stack[0], stack):
-        once, spare = _transform(states.copy(), np.empty_like(states))
-        if dense is not None:
-            np.testing.assert_allclose(once, states @ dense.T, rtol=0, atol=1e-12)
-        twice, _ = _transform(once.copy(), spare)
-        np.testing.assert_allclose(twice, states, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(states[1], dense @ source, rtol=0, atol=1e-12)
+    block.transform(1, 1, 2)
+    np.testing.assert_allclose(states[1], source, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 3])
+@pytest.mark.parametrize("g", [
+    Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 2))),
+    _ring_graph(8),
+    _split_graph(13),  # three transform chunks, edges across the index split
+], ids=lambda g: f"n{g.n}")
+def test_oracle_never_writes_its_angles(g, p):
+    """optimize_angles passes views of the BFGS point, which must stay as it was."""
+    angles = random_angles(g, p, seed=19)
+    flat = angles.flatten()
+    flat.flags.writeable = False
+    layers = flat.reshape(p, -1)
+    value, grad = expectation_and_gradient(
+        g, AngleVector(layers[:, :g.edge_count], layers[:, g.edge_count:])
+    )
+    ref_value, ref_grad = expectation_and_gradient(
+        g, AngleVector(angles.gamma.copy(), angles.beta.copy())
+    )
+    assert value == ref_value
+    np.testing.assert_array_equal(grad, ref_grad)
+    np.testing.assert_array_equal(flat, angles.flatten())
+
+
+def test_one_call_holds_4p_plus_2_states():
+    """The tracemalloc peak of one p = 3 call: its block of 4p + 2 states,
+    the phase-factor tables, and one numpy iterator buffer."""
+    g = _split_graph(12)
+    p = 3
+    angles = random_angles(g, p, seed=20)
+    expectation_and_gradient(g, angles)  # fill the per-graph caches
+    state = 16 << g.n
+    tables = 16 * p * sum(len(t.low) + len(t.high) for t in (_cost_tables(g), _spin_tables(g.n)))
+    buffer = 16 * min(1 << g.n, np.getbufsize())
+    tracemalloc.start()
+    try:
+        expectation_and_gradient(g, angles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (4 * p + 2) * state + tables + buffer + (16 << 10)
 
 
 # ----- the closed form at one layer -----
@@ -457,6 +504,16 @@ def test_one_layer_closed_form_matches_adjoint(g):
             assert abs(value - ref_value) < 1e-12
             assert grad.shape == ref_grad.shape
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
+
+
+def test_closed_form_tables_grow_with_edges_times_degree():
+    """K_24 has 12,744 factors; as a dense (factors, m + n) matrix the lift
+    alone would take 30.6 MB."""
+    n = 24
+    cone = _light_cone(Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n))))
+    assert len(cone.shift) == 12744
+    tables = (cone.columns, cone.weights, cone.shift, cone.index, cone.coef)
+    assert sum(t.nbytes for t in tables) < 1 << 20
 
 
 def test_uniform_angles_match_single_angle_formula():
