@@ -256,19 +256,8 @@ def _canonical(g: Graph) -> tuple[tuple[int, ...], bytes]:
         )
     adj = _neighbor_masks(g)
     order = _canonical_order(g.n, adj)
-    packed = bytearray([g.n])
-    acc = 0
-    count = 0
-    for b in _prefix_bits(order, adj):
-        acc = (acc << 1) | b
-        count += 1
-        if count == 8:
-            packed.append(acc)
-            acc = 0
-            count = 0
-    if count:
-        packed.append(acc << (8 - count))
-    return tuple(order), bytes(packed)
+    bits = np.array(_prefix_bits(order, adj), dtype=np.uint8)
+    return tuple(order), bytes([g.n]) + np.packbits(bits).tobytes()
 
 
 def canonical_form(g: Graph) -> bytes:
@@ -405,18 +394,12 @@ def parse_graph6(text: str) -> Graph:
     need = n * (n - 1) // 2
     if len(body) * 6 < need:
         raise ValueError(f"graph6 string {s!r} too short for n={n}")
-    bits = []
-    for x in body:
-        for shift in range(5, -1, -1):
-            bits.append((x >> shift) & 1)
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return Graph(n, tuple(edges))
+    # six bits per character, most significant first, filling the upper
+    # triangle column by column: (0, 1), (0, 2), (1, 2), (0, 3), ...
+    bits = np.unpackbits(np.array(body, dtype=np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    cols, rows = np.tril_indices(n, -1)
+    present = bits[:need].astype(bool)
+    return Graph(n, tuple(zip(rows[present].tolist(), cols[present].tolist())))
 
 
 def read_graph6(path) -> list[Graph]:

@@ -103,40 +103,89 @@ def _quad_min(a, fa, fpa, b, fb):
     return float(xmin)
 
 
-def _zoom(line, phi0, derphi0, a_lo, phi_lo, derphi_lo, a_hi, phi_hi, budget):
-    """Shrink [a_lo, a_hi] to a strong Wolfe point; a_lo always has the
-    lowest value seen that satisfies the decrease condition."""
-    delta1 = 0.2  # cubic interpolant safeguard
-    delta2 = 0.1  # quadratic interpolant safeguard
-    phi_rec = phi0
-    a_rec = 0.0
-    first = True
-    while budget > 0:
+def _line_search(line, phi0, derphi0, alpha1):
+    """Strong Wolfe line search (Nocedal & Wright, Algorithms 3.5 and 3.6).
+
+    line maps a step length alpha to (value, slope, gradient) at that point
+    of the search line. Returns (alpha, value, gradient), or None when no
+    acceptable step was found within _MAX_LINE_SEARCH_STEPS evaluations,
+    which the doubling phase, the zoom and the probe share.
+    """
+    calls = 0
+    # a_lo holds the lowest value seen that meets the decrease condition
+    a_lo = 0.0
+    phi_lo = phi0
+    derphi_lo = derphi0
+    alpha = alpha1
+    # Algorithm 3.5: double the step until one is accepted or brackets a point
+    while calls < _MAX_LINE_SEARCH_STEPS:
+        calls += 1
+        phi_a, derphi_a, grad_a = line(alpha)
+        if phi_a > phi0 + _C1 * alpha * derphi0 or (phi_a >= phi_lo and calls > 1):
+            a_hi = alpha
+            phi_hi = phi_a
+            break
+        if abs(derphi_a) <= -_C2 * derphi0:
+            # an acceptable step can still be far from the line minimum: one
+            # interpolation probe, if the budget allows, lands the exact
+            # minimizer of a near-quadratic restriction, and is kept only if
+            # it meets both conditions and improves on the accepted value
+            a_q = None
+            if calls < _MAX_LINE_SEARCH_STEPS:
+                a_q = _quad_min(0.0, phi0, derphi0, alpha, phi_a)
+            if (
+                a_q is not None
+                and 0.0 < a_q <= 10.0 * alpha
+                and abs(a_q - alpha) > 1e-9 * alpha
+            ):
+                phi_q, derphi_q, grad_q = line(a_q)
+                if (
+                    phi_q <= phi0 + _C1 * a_q * derphi0
+                    and abs(derphi_q) <= -_C2 * derphi0
+                    and phi_q < phi_a
+                ):
+                    return a_q, phi_q, grad_q
+            return alpha, phi_a, grad_a
+        # the previous step is the far end of the bracket once the slope
+        # turns upward; otherwise a_hi is not read
+        a_hi = a_lo
+        phi_hi = phi_lo
+        a_lo = alpha
+        phi_lo = phi_a
+        derphi_lo = derphi_a
+        if derphi_a >= 0:
+            break
+        alpha *= 2.0
+    # Algorithm 3.6: shrink the bracket between a_lo and a_hi (in either
+    # order) to a strong Wolfe point; the first step is quadratic, later ones
+    # cubic through a third point (a_rec, phi_rec)
+    a_rec = None
+    phi_rec = None
+    while calls < _MAX_LINE_SEARCH_STEPS:
         dalpha = a_hi - a_lo
         if dalpha == 0:
             return None
         a, b = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
-        a_j = None
-        if not first:
-            cchk = delta1 * dalpha
-            a_j = _cubic_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
-        if first or a_j is None or a_j > b - cchk or a_j < a + cchk:
-            qchk = delta2 * dalpha
-            a_j = _quad_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
-            if a_j is None or a_j > b - qchk or a_j < a + qchk:
-                a_j = a_lo + 0.5 * dalpha
-        first = False
-        budget -= 1
-        phi_aj, derphi_aj, grad_aj = line(a_j)
-        if phi_aj > phi0 + _C1 * a_j * derphi0 or phi_aj >= phi_lo:
+        alpha = None
+        if a_rec is not None:
+            cchk = 0.2 * dalpha  # cubic interpolant safeguard
+            alpha = _cubic_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
+        if alpha is None or alpha > b - cchk or alpha < a + cchk:
+            qchk = 0.1 * dalpha  # quadratic interpolant safeguard
+            alpha = _quad_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if alpha is None or alpha > b - qchk or alpha < a + qchk:
+                alpha = a_lo + 0.5 * dalpha
+        calls += 1
+        phi_a, derphi_a, grad_a = line(alpha)
+        if phi_a > phi0 + _C1 * alpha * derphi0 or phi_a >= phi_lo:
             phi_rec = phi_hi
             a_rec = a_hi
-            a_hi = a_j
-            phi_hi = phi_aj
+            a_hi = alpha
+            phi_hi = phi_a
         else:
-            if abs(derphi_aj) <= -_C2 * derphi0:
-                return a_j, phi_aj, grad_aj
-            if derphi_aj * (a_hi - a_lo) >= 0:
+            if abs(derphi_a) <= -_C2 * derphi0:
+                return alpha, phi_a, grad_a
+            if derphi_a * (a_hi - a_lo) >= 0:
                 phi_rec = phi_hi
                 a_rec = a_hi
                 a_hi = a_lo
@@ -144,65 +193,9 @@ def _zoom(line, phi0, derphi0, a_lo, phi_lo, derphi_lo, a_hi, phi_hi, budget):
             else:
                 phi_rec = phi_lo
                 a_rec = a_lo
-            a_lo = a_j
-            phi_lo = phi_aj
-            derphi_lo = derphi_aj
-    return None
-
-
-def _refine_step(line, phi0, derphi0, alpha, phi_a, budget):
-    """Probe the quadratic-model minimizer past an already acceptable step.
-
-    A step can satisfy both Wolfe conditions while still far from the line
-    minimum; one interpolation probe recovers the exact minimizer whenever
-    the restriction is close to quadratic. Returns the probed step only if
-    it also satisfies both conditions and improves on the accepted value.
-    """
-    if budget <= 0:
-        return None
-    a_q = _quad_min(0.0, phi0, derphi0, alpha, phi_a)
-    if a_q is None or not 0.0 < a_q <= 10.0 * alpha:
-        return None
-    if abs(a_q - alpha) <= 1e-9 * alpha:
-        return None
-    phi_q, derphi_q, grad_q = line(a_q)
-    if (
-        phi_q <= phi0 + _C1 * a_q * derphi0
-        and abs(derphi_q) <= -_C2 * derphi0
-        and phi_q < phi_a
-    ):
-        return a_q, phi_q, grad_q
-    return None
-
-
-def _line_search(line, phi0, derphi0, alpha1):
-    """Bracketing phase of the strong Wolfe search.
-
-    line maps a step length alpha to (value, slope, gradient) at that point
-    of the search line. Returns (alpha, value, gradient), or None when no
-    acceptable step was found within _MAX_LINE_SEARCH_STEPS evaluations.
-    """
-    budget = _MAX_LINE_SEARCH_STEPS
-    alpha_prev = 0.0
-    phi_prev = phi0
-    derphi_prev = derphi0
-    alpha = alpha1
-    first = True
-    while budget > 0:
-        budget -= 1
-        phi_a, derphi_a, grad_a = line(alpha)
-        if phi_a > phi0 + _C1 * alpha * derphi0 or (phi_a >= phi_prev and not first):
-            return _zoom(line, phi0, derphi0, alpha_prev, phi_prev, derphi_prev,
-                         alpha, phi_a, budget)
-        if abs(derphi_a) <= -_C2 * derphi0:
-            refined = _refine_step(line, phi0, derphi0, alpha, phi_a, budget)
-            return refined or (alpha, phi_a, grad_a)
-        if derphi_a >= 0:
-            return _zoom(line, phi0, derphi0, alpha, phi_a, derphi_a,
-                         alpha_prev, phi_prev, budget)
-        alpha_prev, phi_prev, derphi_prev = alpha, phi_a, derphi_a
-        alpha *= 2.0
-        first = False
+            a_lo = alpha
+            phi_lo = phi_a
+            derphi_lo = derphi_a
     return None
 
 
@@ -256,9 +249,6 @@ def bfgs_maximize(
             H = None
             direction = -g
             derphi0 = -float(np.dot(g, g))
-            if derphi0 == 0.0:
-                converged = True
-                break
         guess = 1.01 * 2 * (f - old_f) / derphi0
         alpha1 = min(1.0, guess) if guess > 0 else 1.0
 

@@ -202,6 +202,18 @@ def test_graph_id_shape_and_stability(path4):
     assert gid.startswith("g4-") and len(gid) == 13
     assert path4.id == gid
     assert graph_id(permuted(path4, [3, 2, 1, 0])) == gid
+    # every graph id, cell seed and record order derives from the canonical
+    # bytes, so they are pinned literally
+    assert canonical_form(path4) == bytes([0x04, 0x34])
+    assert gid == "g4-5a4063a6d7"
+    assert [graph_id(g) for g in enumerate_connected(4)] == [
+        "g4-f2fc45a853",
+        "g4-5a4063a6d7",
+        "g4-d88e1a005a",
+        "g4-23a86ca98c",
+        "g4-ac8a3ebc87",
+        "g4-b159b4cb60",
+    ]
 
 
 # ----- max-degree vertices -----

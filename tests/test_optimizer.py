@@ -206,3 +206,51 @@ def test_line_search_results_satisfy_strong_wolfe():
         assert abs(float(grad_a @ d)) <= -c2 * derphi0
         check_f, _ = fun(x + alpha * d)
         assert abs(check_f - phi_a) < 1e-12
+
+
+def counting_line(phi_and_slope):
+    """A search line from alpha -> (value, slope) that records each step."""
+    steps = []
+
+    def line(alpha):
+        steps.append(alpha)
+        phi, slope = phi_and_slope(alpha)
+        return phi, slope, np.array([slope])
+
+    return line, steps
+
+
+def test_line_search_budget_ends_a_search_that_never_brackets():
+    line, steps = counting_line(lambda a: (-a, -1.0))
+    assert _line_search(line, 0.0, -1.0, 1.0) is None
+    assert steps == [2.0 ** k for k in range(50)]
+
+
+def test_line_search_budget_covers_doubling_and_zoom():
+    # V-shaped restriction with slopes of +-1: the doubling brackets the
+    # vertex after 46 steps, and no zoom step meets the curvature condition
+    m = 1.5 * 2.0 ** 44
+    line, steps = counting_line(lambda a: (abs(a - m) - m, 1.0 if a > m else -1.0))
+    assert _line_search(line, 0.0, -1.0, 1.0) is None
+    assert len(steps) == 50
+    assert steps[:46] == [2.0 ** k for k in range(46)]
+    assert all(2.0 ** 44 < a < 2.0 ** 45 for a in steps[46:])
+
+
+def test_line_search_budget_spent_skips_the_probe():
+    # the slope is -1 up to knee / 2 and rises to -0.1 at knee, so the 50th
+    # doubling step is the first to meet the curvature condition; the probe
+    # would try about 2.2 * knee, but no evaluation is left for it
+    knee = 2.0 ** 49
+    c = 0.9 / knee
+
+    def phi_and_slope(a):
+        if a <= knee / 2:
+            return -a, -1.0
+        return -a + c * (a - knee / 2) ** 2, -1.0 + 2 * c * (a - knee / 2)
+
+    line, steps = counting_line(phi_and_slope)
+    found = _line_search(line, 0.0, -1.0, 1.0)
+    assert found is not None
+    assert found[0] == knee
+    assert steps == [2.0 ** k for k in range(50)]

@@ -402,7 +402,7 @@ def test_run_circuit_matches_gate_by_gate(g):
 
 @pytest.mark.parametrize("g, p", [
     pytest.param(g, p, id=f"n{g.n}m{g.edge_count}" + ("-p1" if p == 1 else ""))
-    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5))
+    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5, 6))
 ])
 def test_gradient_matches_finite_differences_across_split(g, p):
     angles = random_angles(g, p, seed=15)
