@@ -15,6 +15,15 @@ Conventions, fixed across the package:
   exp(-i*sum_v beta_v X_v) = H^n diag(exp(-i*sum_v beta_v (1 - 2 z_v))) H^n.
 * Flattened parameter order is layer-major, gammas before betas inside a
   layer, each block in edge / vertex index order.
+* The cost and the mixer both commute with the global flip X^n, and the
+  plus state is its +1 eigenstate, so every state the circuit reaches has
+  psi(x) = psi(~x) (Shaydulin et al., Quantum Inf. Process. 20:359, 2021).
+  The circuit runs on the half of the state with vertex n - 1's bit at 0,
+  2^(n-1) amplitudes. In the Hadamard basis such a state has weight only
+  on even-parity indices, so there H^n is sqrt(2) H^(n-1) on the half (the
+  factors of a layer's two transforms cancel) and vertex n - 1's spin is
+  the product of the others'. The states and cut tables the public
+  functions return are full, the half mirrored.
 
 The cost observable is the cut size: sum over edges of 1/2*(1 - Z_u Z_v),
 diagonal in the computational basis with value = number of cut edges.
@@ -30,8 +39,8 @@ import numpy as np
 from .errors import CapacityError
 from .graphs import MAX_VERTICES, Graph
 
-# the cost diagonal is kept factored over a split of the basis index into
-# its low _LO_BITS bits and the remaining high bits; see _CostTables
+# the diagonals are kept factored over a split of the half's basis index
+# into its low _LO_BITS bits and the remaining high bits; see _CostTables
 _LO_BITS = 10
 
 # H^n is applied as one matmul per chunk of at most _WHT_BITS qubits
@@ -100,90 +109,92 @@ def _layers(angles) -> np.ndarray:
 class _CostTables:
     """A diagonal, factored over a (2^a, 2^b) split of the basis index.
 
-    Basis index i is read as row i >> b (the high a = n - b bits) and column
-    i & (2^b - 1) (the low b bits). `low` is (2^b, m) and `high` is (2^a, m),
-    one column per term. For a graph's cost the terms are its edges: an edge
-    inside the low or the high bits is its cut indicator in that table and
-    zero in the other. An edge (u, v) with u < b <= v holds z_u in `low` and
-    z_v in `high`, and is listed in `cross`; its cut indicator is
-    z_u + z_v - 2 z_u z_v. For the mixer in the Hadamard basis the terms are
-    the vertices, each holding its spin 1 - 2 z_v, and none crosses.
+    Basis index i is read as row r = i >> b (the high a bits) and column
+    c = i & (2^b - 1) (the low b bits). `low` is (2^b, m) and `high` is
+    (2^a, m), one column per term. A term that crosses the split also
+    belongs to one group h of `flips`, (groups, 2^a) booleans over rows,
+    as set in `groups`, (groups, m) zeros and ones. Term k's value is
+
+        low[c, k] + high[r, k] - 2 low[c, k] * sum_h groups[h, k] flips[h, r].
+
+    For a graph's cost the terms are its edges: an edge inside the low or
+    the high bits is its cut indicator in that table and zero in the other.
+    An edge (u, v) with u < b <= v holds z_u in `low` and z_v in `high`,
+    its cut indicator being z_u + z_v - 2 z_u z_v; its group is v's, whose
+    flips are z_v. For the mixer in the Hadamard basis the terms are the
+    vertices, each holding its spin 1 - 2 z_v. Above the split the last
+    vertex's spin is the parity spin s_lo(c) s_hi(r) of the others (see
+    _spin_tables): it holds s_lo in `low`, nothing in `high`, and is the
+    one group, flipped on the rows of odd parity. A flipped row takes its
+    group's factor exp(2i sum_k gamma_k low[:, k]) over 2^b columns, so no
+    factor is built per amplitude.
     """
 
     low: np.ndarray
     high: np.ndarray
-    cross: np.ndarray
+    flips: np.ndarray
+    groups: np.ndarray
 
     def phase(self, gammas: np.ndarray) -> np.ndarray:
-        """Sum of gamma_e times term e of each basis state, flat 2^n."""
+        """Sum of gamma_e times term e of each basis state, flat 2^(a + b)."""
         phase = self.low @ gammas
-        # for n <= _LO_BITS, high is one all-zero row and no term crosses
+        # for a = 0, high is one all-zero row and no term crosses
         if len(self.high) > 1:
             phase = (self.high @ gammas)[:, None] + phase
-            phase += self._cross_phase(gammas)
+            phase -= self.flips.T @ ((self.groups * (2.0 * gammas)) @ self.low.T)
         return phase.ravel()
 
-    def _cross_phase(self, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        c = self.cross
-        return np.matmul(self.high[:, c] * (-2.0 * gammas[c]), self.low[:, c].T, out=out)
-
     def factors(self, angles: np.ndarray) -> np.ndarray:
-        """exp(-i * low @ a), then exp(-i * high @ a), for every row a of angles.
+        """exp(-i * low @ a), exp(-i * high @ a), then each group's flip factor,
+        for every row a of angles.
 
-        Returns one (rows, 2^b + 2^a) table, one row per layer, from one
-        matvec per layer and part and one exp for all. Its conjugate undoes
-        the layers.
+        Returns one (rows, 2^b + 2^a + groups * 2^b) table, one row per
+        layer, from one matrix product per layer and part and one exp for
+        all. Its conjugate undoes the layers.
         """
         b = len(self.low)
-        arg = np.zeros((len(angles), b + len(self.high)))
+        width = b + len(self.high)
+        arg = np.zeros((len(angles), width + len(self.groups) * b))
         for row, a in zip(arg, angles):
             np.matmul(self.low, a, out=row[:b])
-            # for n <= _LO_BITS, high is one all-zero row: its factor stays 1
+            # for a = 0, high is one all-zero row: its factor stays 1
             if len(self.high) > 1:
-                np.matmul(self.high, a, out=row[b:])
+                np.matmul(self.high, a, out=row[b:width])
+                np.matmul(self.groups * (-2.0 * a), self.low.T, out=row[width:].reshape(-1, b))
         return np.exp(-1j * arg)
 
-    def multiply(
-        self, states: np.ndarray, factors: np.ndarray, gammas: np.ndarray,
-        out: np.ndarray, spare: np.ndarray, undo: bool = False,
-    ) -> None:
-        """Multiply states by one layer's diagonal exp(-i * phase(gammas)), into out.
+    def multiply(self, states: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
+        """Multiply states by one layer's diagonal, into out.
 
-        `states` holds one or more 2^n states, `out` is their shape and may
-        be `states`, and `factors` is that layer's row of `factors(...)`,
-        conjugated to undo the layer. Only crossing terms need a factor per
-        amplitude; those are built in place in `spare`, the size of one state
-        and apart from `out`, as exp(+i * phase) when `undo` is set.
+        `states` holds one or more 2^(a + b) states, `out` is their shape and
+        may be `states`, and `factors` is that layer's row of `factors(...)`,
+        conjugated to undo the layer.
         """
         b = len(self.low)
         if len(self.high) == 1:
             np.multiply(states, factors[:b], out=out)
             return
+        width = b + len(self.high)
         view = out.reshape(-1, len(self.high), b)
         np.multiply(states.reshape(view.shape), factors[:b], out=view)
-        view *= factors[b:, None]
-        if len(self.cross):
-            f = spare.reshape(view.shape[1:])
-            # the imaginary part of -i * phase(gammas) is phase(-gammas)
-            self._cross_phase(gammas if undo else -gammas, out=f.imag)
-            f.real = 0.0
-            view *= np.exp(f, out=f)
+        view *= factors[b:width, None]
+        for flipped, flip in zip(self.flips, factors[width:].reshape(-1, b)):
+            np.multiply(view, flip, out=view, where=flipped[:, None])
 
     def contract(self, w: np.ndarray, out: np.ndarray) -> None:
-        """Per row and term, the sum of a real 2^n row of w weighted by that term.
+        """Per row and term, the sum of a real 2^(a + b) row of w weighted by that term.
 
-        w is (rows, 2^n), out (rows, terms).
+        w is (rows, 2^(a + b)), out (rows, terms).
         """
         w = w.reshape(len(w), len(self.high), len(self.low))
         if len(self.high) == 1:
             np.matmul(w[:, 0], self.low, out=out)
             return
         np.matmul(w.sum(axis=1), self.low, out=out)
-        c = self.cross
         out += w.sum(axis=2) @ self.high
-        both = self.high[:, c].T @ w  # (rows, crossing terms, 2^b)
-        both *= self.low[:, c].T
-        out[:, c] -= 2.0 * both.sum(axis=2)
+        flipped = (self.flips @ w) @ self.low  # (rows, groups, terms)
+        flipped *= self.groups
+        out -= 2.0 * flipped.sum(axis=1)
 
 
 def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,33 +208,57 @@ def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=256)
 def _cost_tables(g: Graph) -> _CostTables:
-    z_low, z_high = _bits(g.n)
+    """The cut diagonal on the half: vertex n - 1's bit is 0, so an edge
+    (u, n - 1) is cut where z_u is 1."""
+    z_low, z_high = _bits(g.n - 1)
     b = z_low.shape[1]
     low = np.zeros((len(z_low), g.edge_count))
     high = np.zeros((len(z_high), g.edge_count))
-    cross = []
+    crossing = {}  # high vertex -> its crossing edges
     for k, (u, v) in enumerate(g.edges):  # u < v
-        if v < b:
+        if v == g.n - 1:
+            if u < b:
+                low[:, k] = z_low[:, u]
+            else:
+                high[:, k] = z_high[:, u - b]
+        elif v < b:
             low[:, k] = z_low[:, u] ^ z_low[:, v]
         elif u >= b:
             high[:, k] = z_high[:, u - b] ^ z_high[:, v - b]
         else:
             low[:, k] = z_low[:, u]
             high[:, k] = z_high[:, v - b]
-            cross.append(k)
-    return _CostTables(low, high, np.array(cross, dtype=np.intp))
+            crossing.setdefault(v, []).append(k)
+    groups = np.zeros((len(crossing), g.edge_count))
+    flips = np.zeros((len(crossing), len(z_high)), dtype=bool)
+    for h, (v, edges) in enumerate(crossing.items()):
+        groups[h, edges] = 1.0
+        flips[h] = z_high[:, v - b]
+    return _CostTables(low, high, flips, groups)
 
 
 @lru_cache(maxsize=None)
 def _spin_tables(n: int) -> _CostTables:
-    """The mixer's diagonal in the Hadamard basis: vertex v holds 1 - 2 z_v."""
-    z_low, z_high = _bits(n)
+    """The mixer's diagonal on the half in the Hadamard basis.
+
+    A flip-symmetric state has no weight on odd-parity Hadamard indices, so
+    vertex n - 1's bit there is the parity of the others and its spin is
+    their product. Vertex v < n - 1 holds 1 - 2 z_v.
+    """
+    z_low, z_high = _bits(n - 1)
     b = z_low.shape[1]
     low = np.zeros((len(z_low), n))
     high = np.zeros((len(z_high), n))
     low[:, :b] = 1 - 2 * z_low
-    high[:, b:] = 1 - 2 * z_high
-    return _CostTables(low, high, np.empty(0, dtype=np.intp))
+    high[:, b:n - 1] = 1 - 2 * z_high
+    low[:, n - 1] = low[:, :b].prod(axis=1)
+    # above the split that product is s_lo(c) s_hi(r), the one crossing
+    # term: the rows of odd parity flip the sign of s_lo
+    odd = (z_high.sum(axis=1) & 1).astype(bool)
+    crossing = int(len(z_high) > 1)
+    groups = np.zeros((crossing, n))
+    groups[:, n - 1] = 1.0
+    return _CostTables(low, high, odd[None][:crossing], groups)
 
 
 @lru_cache(maxsize=None)
@@ -297,8 +332,12 @@ class _Block:
 
 @lru_cache(maxsize=256)
 def cut_values(g: Graph) -> np.ndarray:
-    """Cut size of every basis state, as a read-only float array of length 2^n."""
-    cuts = _cost_tables(g).phase(np.ones(g.edge_count))
+    """Cut size of every basis state, as a read-only float array of length 2^n.
+
+    Its first half is the half's cut table; the second mirrors it, since a
+    cut and its complement cut the same edges.
+    """
+    cuts = _mirror(_cost_tables(g).phase(np.ones(g.edge_count)))
     cuts.flags.writeable = False
     return cuts
 
@@ -362,7 +401,7 @@ def _check_angles(g: Graph, angles: AngleVector) -> None:
 def _forward(
     g: Graph, angles: AngleVector, rows: int, ring: int, out: int, spare: int
 ) -> tuple[_Block, np.ndarray, np.ndarray]:
-    """Run the circuit from the plus state in a new block of `rows` states.
+    """Run the circuit from the plus state in a new block of `rows` half states.
 
     The final state goes to row `out`. Rows 0 .. ring - 1 keep the state at
     the two points per layer where the adjoint reads that layer's gradient:
@@ -378,17 +417,15 @@ def _forward(
     spins = _spin_tables(g.n)
     cost = tables.factors(angles.gamma)
     mix = spins.factors(angles.beta)
-    block = _Block(rows, g.n)
+    block = _Block(rows, g.n - 1)
     states = block.states
     ket = 0
-    states[ket].fill(states.shape[1] ** -0.5)  # the plus state
+    states[ket].fill(2.0 ** (-g.n / 2))  # the plus state
     for layer in range(angles.p):
-        tables.multiply(states[ket], cost[layer], angles.gamma[layer], states[ket],
-                        states[spare])
+        tables.multiply(states[ket], cost[layer], states[ket])
         mixed = (2 * layer + 1) % ring
         block.transform(ket, mixed, spare)
-        spins.multiply(states[mixed], mix[layer], angles.beta[layer], states[mixed],
-                       states[spare])
+        spins.multiply(states[mixed], mix[layer], states[mixed])
         ket = (2 * layer + 2) % ring if layer + 1 < angles.p else out
         block.transform(mixed, ket, spare)
     return block, cost, mix
@@ -399,7 +436,13 @@ def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     _check_angles(g, angles)
     # every transform in place in row 0, through row 1
     block, _, _ = _forward(g, angles, 2, 1, 0, 1)
-    return block.states[0].copy()
+    return _mirror(block.states[0])
+
+
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """The full 2^n array of a flip-symmetric half: index (x', 1) is the
+    complement of (x', 0)."""
+    return np.concatenate((half, half[::-1]))
 
 
 def expectation(g: Graph, state: StateVector) -> float:
@@ -561,7 +604,9 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     through the layers, undoing each diagonal with the conjugates of the
     forward pass's phase factors, and keeps it at the same points. All
     derivatives are then read from one product of the two blocks, one
-    contraction per diagonal. A call holds 4p + 2 states.
+    contraction per diagonal. A call holds 4p + 2 half states; every
+    stored amplitude stands for two, so value and gradient are twice the
+    half's sums.
     """
     p = angles.p
     m = g.edge_count
@@ -575,21 +620,19 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     block, cost, mix = _forward(g, angles, 4 * p + 2, 2 * p, spare, bra)
     states = block.states
     kets, bras = states[:2 * p], states[2 * p:4 * p]
-    np.multiply(cut_values(g), states[spare], out=states[bra])
-    value = float(np.vdot(states[spare], states[bra]).real)
+    np.multiply(cut_values(g)[:states.shape[1]], states[spare], out=states[bra])
+    value = 2.0 * float(np.vdot(states[spare], states[bra]).real)
     # conjugated, the factors undo their layers
     np.conjugate(cost, out=cost)
     np.conjugate(mix, out=mix)
     for layer in reversed(range(p)):
         after_cost, after_mixer = 2 * p + 2 * layer, 2 * p + 2 * layer + 1
         block.transform(bra, after_mixer, spare)
-        spins.multiply(states[after_mixer], mix[layer], angles.beta[layer],
-                       states[bra], states[spare], undo=True)
+        spins.multiply(states[after_mixer], mix[layer], states[bra])
         block.transform(bra, after_cost, spare)
         if layer:
             # states below layer 0 are never read, skip the last undo
-            tables.multiply(states[after_cost], cost[layer], angles.gamma[layer],
-                            states[bra], states[spare], undo=True)
+            tables.multiply(states[after_cost], cost[layer], states[bra])
     del cost, mix  # the readouts' temporaries may take their place
 
     w = np.conjugate(bras, out=bras)
@@ -597,5 +640,5 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     grad = np.empty((p, m + n), dtype=np.float64)
     tables.contract(w[0::2], grad[:, :m])
     spins.contract(w[1::2], grad[:, m:])
-    grad *= 2.0
+    grad *= 4.0
     return value, grad.ravel()

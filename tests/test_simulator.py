@@ -14,6 +14,7 @@ from maqaoa import (
     expectation,
     expectation_and_gradient,
     prepare_plus_state,
+    random_nonisomorphic_connected,
     run_circuit,
 )
 from maqaoa.simulator import _LO_BITS, _Block, _adjoint, _cost_tables, _light_cone, _spin_tables
@@ -346,7 +347,12 @@ def test_gradient_order_matches_flattening(triangle):
 # ----- the factored cost diagonal, above and across its index split -----
 
 def _split_graph(n: int) -> Graph:
-    """Edges inside the low _LO_BITS qubits, inside the high ones and across."""
+    """Edges inside the low _LO_BITS qubits, inside the high ones and across.
+
+    The circuit runs on the half with vertex n - 1's bit at 0, whose index
+    splits at _LO_BITS too: there an edge to vertex n - 1 is a single-bit
+    column, and at n = 12 (0, b) is the one crossing edge.
+    """
     b = _LO_BITS
     low = [(0, 1), (2, 7), (3, b - 1)]
     high = [(b, n - 1)] + ([(b + 1, b + 2), (b, n - 2)] if n - b > 3 else [])
@@ -370,6 +376,9 @@ SPLIT_GRAPHS = [
     _ring_graph(6),
     _ring_graph(7),
     _split_graph(13),
+    Graph(2, ((0, 1),)),  # a half of one qubit
+    # a half of exactly _LO_BITS qubits, with no high part
+    random_nonisomorphic_connected(_LO_BITS + 1, 1, seed=21)[0],
 ]
 
 
@@ -395,14 +404,15 @@ def test_cut_values_match_per_edge_xor_count(g):
 @pytest.mark.parametrize("g", SPLIT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_run_circuit_matches_gate_by_gate(g):
     angles = random_angles(g, 2, seed=14)
-    np.testing.assert_allclose(
-        run_circuit(g, angles), _gate_by_gate(g, angles), rtol=0, atol=1e-12
-    )
+    state = run_circuit(g, angles)
+    np.testing.assert_allclose(state, _gate_by_gate(g, angles), rtol=0, atol=1e-12)
+    # the flip-symmetric half, mirrored: psi(x) = psi(~x) exactly
+    np.testing.assert_array_equal(state, state[::-1])
 
 
 @pytest.mark.parametrize("g, p", [
     pytest.param(g, p, id=f"n{g.n}m{g.edge_count}" + ("-p1" if p == 1 else ""))
-    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5, 6))
+    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5, 6, 7, 8))
 ])
 def test_gradient_matches_finite_differences_across_split(g, p):
     angles = random_angles(g, p, seed=15)
@@ -456,15 +466,17 @@ def test_oracle_never_writes_its_angles(g, p):
 
 
 def test_one_call_holds_4p_plus_2_states():
-    """The tracemalloc peak of one p = 3 call: its block of 4p + 2 states,
-    the phase-factor tables, and one numpy iterator buffer."""
+    """The tracemalloc peak of one p = 3 call: its block of 4p + 2 half
+    states, the phase-factor tables, and one numpy iterator buffer."""
     g = _split_graph(12)
     p = 3
     angles = random_angles(g, p, seed=20)
     expectation_and_gradient(g, angles)  # fill the per-graph caches
-    state = 16 << g.n
-    tables = 16 * p * sum(len(t.low) + len(t.high) for t in (_cost_tables(g), _spin_tables(g.n)))
-    buffer = 16 * min(1 << g.n, np.getbufsize())
+    state = 16 << (g.n - 1)  # a half state
+    tables = 16 * p * sum(
+        len(t.low) * (1 + len(t.groups)) + len(t.high) for t in (_cost_tables(g), _spin_tables(g.n))
+    )
+    buffer = 16 * min(1 << (g.n - 1), np.getbufsize())
     tracemalloc.start()
     try:
         expectation_and_gradient(g, angles)
