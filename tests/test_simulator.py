@@ -379,6 +379,10 @@ SPLIT_GRAPHS = [
     Graph(2, ((0, 1),)),  # a half of one qubit
     # a half of exactly _LO_BITS qubits, with no high part
     random_nonisomorphic_connected(_LO_BITS + 1, 1, seed=21)[0],
+    # (0, b), (1, b) and (5, b) cross the half's split to one high vertex,
+    # so they share one flip group
+    Graph(_LO_BITS + 2, ((0, _LO_BITS), (1, _LO_BITS), (2, 3), (3, _LO_BITS + 1), (4, 9),
+                         (5, _LO_BITS), (6, 7), (_LO_BITS, _LO_BITS + 1))),
 ]
 
 
@@ -412,7 +416,7 @@ def test_run_circuit_matches_gate_by_gate(g):
 
 @pytest.mark.parametrize("g, p", [
     pytest.param(g, p, id=f"n{g.n}m{g.edge_count}" + ("-p1" if p == 1 else ""))
-    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5, 6, 7, 8))
+    for p in (2, 1) for g in (SPLIT_GRAPHS[i] for i in (0, 2, 3, 5, 6, 7, 8, 9))
 ])
 def test_gradient_matches_finite_differences_across_split(g, p):
     angles = random_angles(g, p, seed=15)
