@@ -6,11 +6,11 @@ approximation starts as the identity, is rescaled by s'y / y'y right before
 the first update, and follows the standard two-sided BFGS update afterwards.
 Updates are skipped when the curvature s'y is not safely positive.
 
-The line search brackets then zooms with cubic / quadratic interpolation and
-a bisection fallback, accepting only points that satisfy both strong Wolfe
-conditions, so every accepted step strictly improves the objective. Steps
-accepted straight from the bracketing phase get one interpolation probe,
-which lands the exact line minimizer on near-quadratic restrictions.
+The line search brackets then zooms with safeguarded quadratic interpolation
+and a bisection fallback, accepting only points that satisfy both strong
+Wolfe conditions, so every accepted step strictly improves the objective.
+Steps accepted straight from the bracketing phase get one interpolation
+probe, which lands the exact line minimizer on near-quadratic restrictions.
 """
 
 from __future__ import annotations
@@ -64,31 +64,6 @@ class OptimizationResult(Generic[Point]):
     trace: list[float] = field(default_factory=list)
 
 
-def _cubic_min(a, fa, fpa, b, fb, c, fc):
-    """Minimizer of the cubic through (a, fa) with slope fpa, (b, fb), (c, fc)."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            C = fpa
-            db = b - a
-            dc = c - a
-            denom = (db * dc) ** 2 * (db - dc)
-            d1 = np.empty((2, 2))
-            d1[0, 0] = dc ** 2
-            d1[0, 1] = -(db ** 2)
-            d1[1, 0] = -(dc ** 3)
-            d1[1, 1] = db ** 3
-            A, B = np.dot(d1, np.asarray([fb - fa - C * db, fc - fa - C * dc]))
-            A /= denom
-            B /= denom
-            radical = B * B - 3 * A * C
-            xmin = a + (-B + np.sqrt(radical)) / (3 * A)
-        except ArithmeticError:
-            return None
-    if not np.isfinite(xmin):
-        return None
-    return float(xmin)
-
-
 def _quad_min(a, fa, fpa, b, fb):
     """Minimizer of the quadratic through (a, fa) with slope fpa and (b, fb)."""
     with np.errstate(divide="raise", over="raise", invalid="raise"):
@@ -109,7 +84,8 @@ def _line_search(line, phi0, derphi0, alpha1):
     line maps a step length alpha to (value, slope, gradient) at that point
     of the search line. Returns (alpha, value, gradient), or None when no
     acceptable step was found within _MAX_LINE_SEARCH_STEPS evaluations,
-    which the doubling phase, the zoom and the probe share.
+    which the doubling phase, the zoom and the probe share, or when the
+    zoom's bracket collapses to a single point.
     """
     calls = 0
     # a_lo holds the lowest value seen that meets the decrease condition
@@ -157,42 +133,29 @@ def _line_search(line, phi0, derphi0, alpha1):
             break
         alpha *= 2.0
     # Algorithm 3.6: shrink the bracket between a_lo and a_hi (in either
-    # order) to a strong Wolfe point; the first step is quadratic, later ones
-    # cubic through a third point (a_rec, phi_rec)
-    a_rec = None
-    phi_rec = None
+    # order) to a strong Wolfe point; each step is the quadratic interpolant's
+    # minimizer, or the bracket's midpoint when that is undefined or lies
+    # within a tenth of the bracket's width of either end
     while calls < _MAX_LINE_SEARCH_STEPS:
         dalpha = a_hi - a_lo
         if dalpha == 0:
             return None
         a, b = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
-        alpha = None
-        if a_rec is not None:
-            cchk = 0.2 * dalpha  # cubic interpolant safeguard
-            alpha = _cubic_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi, a_rec, phi_rec)
-        if alpha is None or alpha > b - cchk or alpha < a + cchk:
-            qchk = 0.1 * dalpha  # quadratic interpolant safeguard
-            alpha = _quad_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
-            if alpha is None or alpha > b - qchk or alpha < a + qchk:
-                alpha = a_lo + 0.5 * dalpha
+        qchk = 0.1 * (b - a)
+        alpha = _quad_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+        if alpha is None or alpha > b - qchk or alpha < a + qchk:
+            alpha = a_lo + 0.5 * dalpha
         calls += 1
         phi_a, derphi_a, grad_a = line(alpha)
         if phi_a > phi0 + _C1 * alpha * derphi0 or phi_a >= phi_lo:
-            phi_rec = phi_hi
-            a_rec = a_hi
             a_hi = alpha
             phi_hi = phi_a
         else:
             if abs(derphi_a) <= -_C2 * derphi0:
                 return alpha, phi_a, grad_a
             if derphi_a * (a_hi - a_lo) >= 0:
-                phi_rec = phi_hi
-                a_rec = a_hi
                 a_hi = a_lo
                 phi_hi = phi_lo
-            else:
-                phi_rec = phi_lo
-                a_rec = a_lo
             a_lo = alpha
             phi_lo = phi_a
             derphi_lo = derphi_a

@@ -179,7 +179,14 @@ def line_search_cases():
     A = np.diag([1.0, 30.0])
     quad = lambda x: (0.5 * x @ A @ x, A @ x)
     quartic = lambda x: (float(np.sum(x ** 4) + x @ x), 4 * x ** 3 + 2 * x)
-    for fun in (quad, quartic):
+
+    def well(x):
+        # a bowl with a narrow Gaussian well at its floor: zoom brackets
+        # with a_hi < a_lo, whose interpolants can fall near an end
+        e = 10.0 * np.exp(-(x @ x) / 0.18)
+        return float(0.5 * x @ x - e), x + e * x / 0.09
+
+    for fun in (quad, quartic, well):
         for _ in range(5):
             x = rng.normal(size=2) * 2
             _, g = fun(x)
@@ -188,14 +195,50 @@ def line_search_cases():
             yield fun, x, -g
 
 
+def zoom_brackets(steps, phi0, derphi0, c1=1e-4, c2=0.9):
+    """(alpha, a_lo, a_hi) of each zoom step among a line search's steps.
+
+    Replays the bracket updates of Nocedal & Wright, Algorithms 3.5 and 3.6,
+    on the recorded (alpha, value, slope) of each evaluation.
+    """
+    a_lo, phi_lo, a_hi = 0.0, phi0, None
+    zooming = False
+    out = []
+    for k, (alpha, phi, derphi) in enumerate(steps):
+        sufficient = phi <= phi0 + c1 * alpha * derphi0
+        curvature = abs(derphi) <= -c2 * derphi0
+        if not zooming:
+            if not sufficient or (phi >= phi_lo and k > 0):
+                a_hi, zooming = alpha, True
+            elif curvature:
+                break  # accepted; only the interpolation probe can follow
+            else:
+                a_hi, a_lo, phi_lo = a_lo, alpha, phi
+                zooming = derphi >= 0
+            continue
+        out.append((alpha, a_lo, a_hi))
+        if not sufficient or phi >= phi_lo:
+            a_hi = alpha
+        elif curvature:
+            break
+        else:
+            if derphi * (a_hi - a_lo) >= 0:
+                a_hi = a_lo
+            a_lo, phi_lo = alpha, phi
+    return out
+
+
 def test_line_search_results_satisfy_strong_wolfe():
     c1, c2 = 1e-4, 0.9
+    zoom_steps = []
     for fun, x, d in line_search_cases():
         f0, g0 = fun(x)
         derphi0 = float(g0 @ d)
+        steps = []
 
         def line(alpha):
             value, grad = fun(x + alpha * d)
+            steps.append((alpha, value, float(grad @ d)))
             return value, float(grad @ d), grad
 
         found = _line_search(line, f0, derphi0, 1.0)
@@ -206,6 +249,15 @@ def test_line_search_results_satisfy_strong_wolfe():
         assert abs(float(grad_a @ d)) <= -c2 * derphi0
         check_f, _ = fun(x + alpha * d)
         assert abs(check_f - phi_a) < 1e-12
+        zoom_steps += zoom_brackets(steps, f0, derphi0)
+    # every zoom step keeps a tenth of the bracket's width from either end,
+    # or is the bracket's midpoint, in brackets of either orientation
+    assert len(zoom_steps) > 20
+    assert any(a_hi < a_lo for _, a_lo, a_hi in zoom_steps)
+    for alpha, a_lo, a_hi in zoom_steps:
+        a, b = min(a_lo, a_hi), max(a_lo, a_hi)
+        margin = 0.1 * (b - a)
+        assert alpha == a_lo + 0.5 * (a_hi - a_lo) or a + margin <= alpha <= b - margin
 
 
 def counting_line(phi_and_slope):
