@@ -65,17 +65,18 @@ class OptimizationResult(Generic[Point]):
 
 
 def _quad_min(a, fa, fpa, b, fb):
-    """Minimizer of the quadratic through (a, fa) with slope fpa and (b, fb)."""
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            db = b - a
-            B = (fb - fa - fpa * db) / (db * db)
-            xmin = a - fpa / (2.0 * B)
-        except ArithmeticError:
-            return None
-    if not np.isfinite(xmin):
+    """Minimizer of the quadratic through (a, fa) with slope fpa and (b, fb),
+    or None where it is undefined: a zero-width bracket or zero curvature.
+
+    The arguments are Python floats, whose division by zero raises.
+    """
+    try:
+        db = b - a
+        B = (fb - fa - fpa * db) / (db * db)
+        xmin = a - fpa / (2.0 * B)
+    except ZeroDivisionError:
         return None
-    return float(xmin)
+    return xmin if math.isfinite(xmin) else None
 
 
 def _line_search(line, phi0, derphi0, alpha1):

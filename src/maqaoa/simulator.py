@@ -43,8 +43,22 @@ from .graphs import MAX_VERTICES, Graph
 # into its low _LO_BITS bits and the remaining high bits; see _CostTables
 _LO_BITS = 10
 
-# H^n is applied as one matmul per chunk of at most _WHT_BITS qubits
+# H^n is applied in chunks of at most _WHT_BITS qubits
 _WHT_BITS = 6
+
+# OpenBLAS (0.3.31, as bundled with numpy 2.4.6) hands a call above some size
+# to its worker threads. Measured on 2 cores, by whether the worker's
+# timeslice count in /proc/self/task/<tid>/schedstat rises:
+#   gemm   2^19 multiply-adds stay on the calling thread, 2^20 do not:
+#          (128, 64) @ (64, 64) against (256, 64) @ (64, 64), (32, 32) @ (32, 1024)
+#   gemv   (16384, 24) @ (24,) stays, (16384, 32) and (4096, 128) do not
+#   dot    ddot and zdotc of 10,000 elements stay, of 10,240 do not
+# Every product here is at most _PRODUCT_SIZE multiply-adds and every dot at
+# most _DOT_SIZE elements, so no call wakes a worker: a woken worker spins for
+# as long as the calls take, doubling CPU time, and on a busy 2-core machine a
+# threaded call can stall for 8-16 ms.
+_PRODUCT_SIZE = 1 << 18
+_DOT_SIZE = 1 << 13
 
 #: A statevector is a bare 1-D complex128 array of length 2^n.
 StateVector = np.ndarray
@@ -135,32 +149,36 @@ class _CostTables:
     flips: np.ndarray
     groups: np.ndarray
 
-    def phase(self, gammas: np.ndarray) -> np.ndarray:
-        """Sum of gamma_e times term e of each basis state, flat 2^(a + b)."""
-        phase = self.low @ gammas
+    def sums(self) -> np.ndarray:
+        """Each basis state's sum of the terms, flat 2^(a + b).
+
+        The cost's terms are zeros and ones, so its sums, the cut sizes, are
+        exact in any order of addition.
+        """
         # for a = 0, high is one all-zero row and no term crosses
-        if len(self.high) > 1:
-            phase = (self.high @ gammas)[:, None] + phase
-            phase -= self.flips.T @ ((self.groups * (2.0 * gammas)) @ self.low.T)
-        return phase.ravel()
+        sums = self.high.sum(axis=1)[:, None] + self.low.sum(axis=1)
+        for flipped, group in zip(self.flips, self.groups):
+            crossing = self.low[:, group == 1].sum(axis=1)
+            np.subtract(sums, 2.0 * crossing, out=sums, where=flipped[:, None])
+        return sums.ravel()
 
     def factors(self, angles: np.ndarray) -> np.ndarray:
         """exp(-i * low @ a), exp(-i * high @ a), then each group's flip factor,
         for every row a of angles.
 
         Returns one (rows, 2^b + 2^a + groups * 2^b) table, one row per
-        layer, from one matrix product per layer and part and one exp for
-        all. Its conjugate undoes the layers.
+        layer, from one stack of per-layer products per part (see _matmul)
+        and one exp for all. Its conjugate undoes the layers.
         """
         b = len(self.low)
         width = b + len(self.high)
         arg = np.zeros((len(angles), width + len(self.groups) * b))
-        for row, a in zip(arg, angles):
-            np.matmul(self.low, a, out=row[:b])
-            # for a = 0, high is one all-zero row: its factor stays 1
-            if len(self.high) > 1:
-                np.matmul(self.high, a, out=row[b:width])
-                np.matmul(self.groups * (-2.0 * a), self.low.T, out=row[width:].reshape(-1, b))
+        layers = angles[:, None, :]
+        _matmul(layers, self.low.T, arg[:, None, :b])
+        # for a = 0, high is one all-zero row: its factor stays 1
+        if len(self.high) > 1:
+            _matmul(layers, self.high.T, arg[:, None, b:width])
+            _matmul(self.groups * (-2.0 * layers), self.low.T, arg[:, width:].reshape(len(arg), -1, b))
         return np.exp(-1j * arg)
 
     def multiply(self, states: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
@@ -188,13 +206,39 @@ class _CostTables:
         """
         w = w.reshape(len(w), len(self.high), len(self.low))
         if len(self.high) == 1:
-            np.matmul(w[:, 0], self.low, out=out)
+            _matmul(w[:, 0], self.low, out)
             return
-        np.matmul(w.sum(axis=1), self.low, out=out)
-        out += w.sum(axis=2) @ self.high
-        flipped = (self.flips @ w) @ self.low  # (rows, groups, terms)
-        flipped *= self.groups
-        out -= 2.0 * flipped.sum(axis=1)
+        _matmul(w.sum(axis=1), self.low, out)
+        high = np.empty_like(out)
+        _matmul(w.sum(axis=2), self.high, high)
+        out += high
+        # per group, the sum of w over its flipped rows, then weighted by the terms
+        flipped = np.empty((len(w), len(self.flips), len(self.low)))
+        _matmul(self.flips.astype(np.float64), w, flipped)
+        weighted = np.empty(flipped.shape[:2] + out.shape[1:])  # (rows, groups, terms)
+        _matmul(flipped, self.low, weighted)
+        weighted *= self.groups
+        out -= 2.0 * weighted.sum(axis=1)
+
+
+def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
+    """x @ y into out, one np.matmul per group of y's columns: each product
+    is at most _PRODUCT_SIZE multiply-adds as long as x's trailing
+    (rows, inner) slice is. A product within the bound is one call."""
+    step = max(1, _PRODUCT_SIZE // max(1, x.shape[-1] * (x.shape[-2] if x.ndim > 1 else 1)))
+    if step >= y.shape[-1]:
+        np.matmul(x, y, out=out)
+        return
+    for j in range(0, y.shape[-1], step):
+        np.matmul(x, y[..., j:j + step], out=out[..., j:j + step])
+
+
+def _dot(dot, x: np.ndarray, y: np.ndarray):
+    """dot(x, y) of 1-D arrays, as dots of at most _DOT_SIZE elements added in
+    order. A dot within the bound is one call."""
+    if len(x) <= _DOT_SIZE:
+        return dot(x, y)
+    return sum(dot(x[j:j + _DOT_SIZE], y[j:j + _DOT_SIZE]) for j in range(0, len(x), _DOT_SIZE))
 
 
 def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -280,14 +324,46 @@ def _pair_hadamard(k: int) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _chunk_layout(n: int) -> tuple[tuple[int, bool, tuple[int, ...], bool], ...]:
+    """How H^n on the float view of one 2^n-amplitude row splits into products.
+
+    The qubits go in ceil(n / _WHT_BITS) near-equal chunks, lowest first.
+    Per chunk: its size k, whether H_k multiplies from the left, the row's
+    shape as a stack of slices of at most _PRODUCT_SIZE multiply-adds each,
+    and whether its third- and second-last axes must be swapped. The lowest
+    chunk's shape is (groups, rows, 2^(k+1)): kron(H_k, I_2)
+    right-multiplies each group of rows, runs of 2^k amplitudes. A higher
+    chunk's is (outer, 2^k, groups, columns); with the groups axis swapped
+    ahead of the 2^k axis, H_k left-multiplies each group of columns.
+    Stack axes of length one are left out.
+    """
+    chunks = -(-n // _WHT_BITS)
+    layout = []
+    lo = 0
+    for c in range(chunks):
+        k = (n + c) // chunks  # near-equal sizes summing to n
+        if lo:
+            width = min(2 << lo, _PRODUCT_SIZE >> 2 * k)
+            outer, groups = 1 << n - lo - k, (2 << lo) // width
+            shape = (outer,) * (outer > 1) + (1 << k,) + (groups,) * (groups > 1) + (width,)
+            layout.append((k, True, shape, groups > 1))
+        else:
+            rows = min(1 << n - k, _PRODUCT_SIZE >> 2 * k + 2)
+            groups = (1 << n - k) // rows
+            layout.append((k, False, (groups,) * (groups > 1) + (rows, 2 << k), False))
+        lo += k
+    return tuple(layout)
+
+
 class _Block:
     """Rows of 2^n-amplitude states, with H^n from any row into any other.
 
-    The qubits go in ceil(n / _WHT_BITS) near-equal chunks, lowest first,
-    one real matmul each on the float view (2 doubles per amplitude): the
-    lowest right-multiplies every run of 2^k amplitudes by kron(H_k, I_2),
-    a higher chunk left-multiplies by H_k. The float view of the block is
-    shaped once per chunk, so a transform only indexes rows.
+    H^n is one product call per chunk of _chunk_layout on the float view
+    (2 doubles per amplitude), shaped once per chunk, so a transform only
+    indexes rows. A chunk small enough for one product has one 2-D slice
+    per row, which np.dot multiplies with less dispatch than np.matmul's
+    stacks.
     """
 
     def __init__(self, rows: int, n: int) -> None:
@@ -296,18 +372,14 @@ class _Block:
         # its pages
         self.states = np.empty((rows, 1 << n), dtype=np.complex128)
         floats = self.states.view(np.float64)
-        chunks = -(-n // _WHT_BITS)
-        self._chunks = []  # (matrix, whether it multiplies from the left, view)
-        lo = 0
-        for c in range(chunks):
-            k = (n + c) // chunks  # near-equal sizes summing to n
-            if lo:
-                # the top chunk leaves one 2-D block per row, a middle one a stack
-                shape = (rows, 1 << k, 2 << lo) if lo + k == n else (rows, -1, 1 << k, 2 << lo)
-                self._chunks.append((_hadamard(k), True, floats.reshape(shape)))
-            else:
-                self._chunks.append((_pair_hadamard(k), False, floats.reshape(rows, -1, 2 << k)))
-            lo += k
+        self._chunks = []  # (product, matrix, whether it multiplies from the left, view)
+        for k, left, shape, swap in _chunk_layout(n):
+            view = floats.reshape(rows, *shape)
+            if swap:
+                view = view.swapaxes(-3, -2)
+            product = np.dot if view.ndim == 3 else np.matmul
+            matrix = _hadamard(k) if left else _pair_hadamard(k)
+            self._chunks.append((product, matrix, left, view))
 
     def transform(self, src: int, dst: int, spare: int) -> None:
         """Write H^n of row src into row dst, through row spare.
@@ -318,13 +390,11 @@ class _Block:
         """
         odd = len(self._chunks) % 2
         out, other = (dst, spare) if odd and dst != src else (spare, dst)
-        for h, left, view in self._chunks:
-            if not left:
-                np.dot(view[src], h, out=view[out])
-            elif view.ndim == 3:
-                np.dot(h, view[src], out=view[out])
+        for product, h, left, view in self._chunks:
+            if left:
+                product(h, view[src], out=view[out])
             else:
-                np.matmul(h, view[src], out=view[out])
+                product(view[src], h, out=view[out])
             src, out, other = out, other, out
         if src != dst:
             self.states[dst] = self.states[src]
@@ -337,7 +407,7 @@ def cut_values(g: Graph) -> np.ndarray:
     Its first half is the half's cut table; the second mirrors it, since a
     cut and its complement cut the same edges.
     """
-    cuts = _mirror(_cost_tables(g).phase(np.ones(g.edge_count)))
+    cuts = _mirror(_cost_tables(g).sums())
     cuts.flags.writeable = False
     return cuts
 
@@ -451,7 +521,7 @@ def expectation(g: Graph, state: StateVector) -> float:
     if n != g.n:
         raise ValueError(f"state has {n} qubits, graph has {g.n} vertices")
     probs = state.real ** 2 + state.imag ** 2
-    return float(probs @ cut_values(g))
+    return float(_dot(np.dot, probs, cut_values(g)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -621,7 +691,7 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     states = block.states
     kets, bras = states[:2 * p], states[2 * p:4 * p]
     np.multiply(cut_values(g)[:states.shape[1]], states[spare], out=states[bra])
-    value = 2.0 * float(np.vdot(states[spare], states[bra]).real)
+    value = 2.0 * float(_dot(np.vdot, states[spare], states[bra]).real)
     # conjugated, the factors undo their layers
     np.conjugate(cost, out=cost)
     np.conjugate(mix, out=mix)

@@ -11,7 +11,7 @@ from maqaoa import (
     optimize_angles,
     run_circuit,
 )
-from maqaoa.optimizer import GRADIENT_TOLERANCE, _line_search
+from maqaoa.optimizer import GRADIENT_TOLERANCE, _line_search, _quad_min
 from conftest import random_angles
 
 
@@ -306,3 +306,16 @@ def test_line_search_budget_spent_skips_the_probe():
     assert found is not None
     assert found[0] == knee
     assert steps == [2.0 ** k for k in range(50)]
+
+
+def test_quadratic_step_pins_its_degenerate_brackets():
+    # (x - 2)^2 from (0, 4) with slope -4 and (1, 1)
+    assert _quad_min(0.0, 4.0, -4.0, 1.0, 1.0) == 2.0
+    # a zero-width bracket and zero curvature divide by zero
+    assert _quad_min(1.0, 4.0, -4.0, 1.0, 1.0) is None
+    assert _quad_min(0.0, 1.0, -1.0, 1.0, 0.0) is None
+    # a curvature that overflows to inf puts the minimizer at a
+    a = 1e-140
+    assert _quad_min(a, 0.0, 1.0, a + 1e-150, 1e10) == a
+    # a NaN value propagates to the minimizer, which is not finite
+    assert _quad_min(0.0, 0.0, -1.0, 1.0, float("nan")) is None

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -17,7 +21,18 @@ from maqaoa import (
     random_nonisomorphic_connected,
     run_circuit,
 )
-from maqaoa.simulator import _LO_BITS, _Block, _adjoint, _cost_tables, _light_cone, _spin_tables
+from maqaoa.graphs import MAX_VERTICES
+from maqaoa.simulator import (
+    _DOT_SIZE,
+    _LO_BITS,
+    _PRODUCT_SIZE,
+    _Block,
+    _adjoint,
+    _chunk_layout,
+    _cost_tables,
+    _light_cone,
+    _spin_tables,
+)
 from conftest import random_angles
 from oracles import (
     dense_circuit,
@@ -425,11 +440,25 @@ def test_gradient_matches_finite_differences_across_split(g, p):
     np.testing.assert_allclose(grad, fd_gradient(g, angles), rtol=1e-5, atol=1e-8)
 
 
-@pytest.mark.parametrize("n", [1, 6, 7, 13])
+def _butterflies(x: np.ndarray) -> np.ndarray:
+    """H^n of x, one butterfly per qubit."""
+    x = x.copy()
+    for j in range(x.size.bit_length() - 1):
+        pairs = x.reshape(-1, 2, 1 << j)
+        pairs[:] = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1)
+        pairs /= np.sqrt(2)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 13, 16])
 def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
     """From one row of a block into another, and in place, in one, two and
-    three chunks; the source row is never written, since the adjoint
+    three chunks, and at 13 and 16 qubits with the lowest and the top chunk
+    split into slices; the source row is never written, since the adjoint
     transforms its stored rows."""
+    layout = _chunk_layout(n)
+    lowest_shape, top_swap = layout[0][2], layout[-1][3]
+    assert (len(lowest_shape) > 2 and top_swap) == (n >= 13)
     rng = np.random.default_rng(16)
     block = _Block(3, n)
     states = block.states
@@ -442,8 +471,124 @@ def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
         for _ in range(n):
             dense = np.kron(dense, [[1, 1], [1, -1]]) / np.sqrt(2)
         np.testing.assert_allclose(states[1], dense @ source, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_allclose(states[1], _butterflies(source), rtol=0, atol=1e-12)
     block.transform(1, 1, 2)
     np.testing.assert_allclose(states[1], source, rtol=0, atol=1e-12)
+
+
+# ----- no BLAS call large enough to wake a worker thread -----
+
+# OpenBLAS multiplies a gemm of 2^19 multiply-adds on the calling thread and
+# hands one of 2^20 to its workers (see simulator._PRODUCT_SIZE)
+_GEMM_ON_CALLER = 1 << 19
+
+
+def test_transform_slices_stay_under_the_gemm_threshold():
+    """Read from the layout's shapes alone, nothing allocated: at every half
+    size up to the vertex cap the chunks cover the qubits, their slices tile
+    a row's float view, and each slice is one product within bounds."""
+    for h in range(MAX_VERTICES):
+        layout = _chunk_layout(h)
+        assert sum(k for k, _, _, _ in layout) == h
+        for k, left, shape, swap in layout:
+            assert np.prod(shape) == 2 << h
+            if left:
+                inner, columns = shape[-3] if swap else shape[-2], shape[-1]
+                assert inner == 1 << k
+                size = inner * inner * columns
+            else:
+                rows, columns = shape[-2:]
+                assert columns == 2 << k
+                size = rows * columns * columns
+            assert size <= _PRODUCT_SIZE <= _GEMM_ON_CALLER, (h, k, shape)
+
+
+def test_blas_calls_stay_under_the_thresholds(monkeypatch):
+    """Every product and dot a call hands numpy, by its shapes: a p = 2 call
+    at n = 16, and the tables of K_24 and of the 24-vertex mixer, whose
+    products grow with 2^(n - 1 - _LO_BITS) and the edge count."""
+    products, dots = [], []
+    matmul, dot, vdot = np.matmul, np.dot, np.vdot
+
+    def record(x, y):
+        x, y = np.asarray(x), np.asarray(y)
+        if x.ndim == y.ndim == 1:
+            dots.append(x.size)
+        else:
+            rows = x.shape[-2] if x.ndim > 1 else 1
+            products.append(rows * x.shape[-1] * (y.shape[-1] if y.ndim > 1 else 1))
+
+    def recording(product):
+        def wrapper(x, y, out=None):
+            record(x, y)
+            return product(x, y) if out is None else product(x, y, out=out)
+        return wrapper
+
+    monkeypatch.setattr(np, "matmul", recording(matmul))
+    monkeypatch.setattr(np, "dot", recording(dot))
+    monkeypatch.setattr(np, "vdot", recording(vdot))
+
+    g = _split_graph(16)
+    angles = random_angles(g, 2, seed=23)
+    expectation(g, run_circuit(g, angles))
+    expectation_and_gradient(g, angles)
+    assert max(dots) == _DOT_SIZE
+
+    n = MAX_VERTICES
+    complete = Graph(n, tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+    cost = _cost_tables.__wrapped__(complete)  # not kept in the cache
+    cost.sums()
+    angles = random_angles(complete, 2, seed=24)
+    w = np.zeros((2, 1 << n - 1))  # only read: its pages stay the kernel's zero page
+    for tables, layers in ((cost, angles.gamma), (_spin_tables.__wrapped__(n), angles.beta)):
+        tables.factors(layers)
+        tables.contract(w, np.empty(layers.shape))
+    assert max(products) <= _PRODUCT_SIZE
+    assert max(dots) <= _DOT_SIZE
+
+
+def _timeslices() -> dict[str, int]:
+    """Timeslices run so far by each thread of this process but the calling one."""
+    me = str(threading.get_native_id())
+    counts = {}
+    for tid in os.listdir("/proc/self/task"):
+        if tid != me:
+            try:
+                with open(f"/proc/self/task/{tid}/schedstat") as f:
+                    counts[tid] = int(f.read().split()[2])
+            except FileNotFoundError:  # the thread has ended
+                pass
+    return counts
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/task")
+def test_no_call_wakes_another_thread():
+    """Once the process's other threads (OpenBLAS's workers) have been idle
+    for 0.3 s, none of them runs while the circuit, the expectation and the
+    gradient are computed at n = 16 and 20 and p = 1 and 2."""
+    counts = _timeslices()
+    if not counts:
+        pytest.skip("no other thread in this process")
+    deadline = time.monotonic() + 5.0
+    quiet_since = time.monotonic()
+    while time.monotonic() - quiet_since < 0.3:
+        if time.monotonic() > deadline:
+            pytest.skip("another thread kept running for 5 s")
+        time.sleep(0.02)
+        now = _timeslices()
+        if now != counts:
+            counts, quiet_since = now, time.monotonic()
+    for n in (16, 20):
+        # edges inside and across the index split, in several flip groups
+        g = Graph(n, tuple((v, w) for v in range(n) for w in (v + 1, v + 5) if w < n))
+        for p in (1, 2):
+            angles = random_angles(g, p, seed=22)
+            expectation(g, run_circuit(g, angles))
+            expectation_and_gradient(g, angles)
+    after = _timeslices()
+    woken = {tid: c - counts.get(tid, 0) for tid, c in after.items() if c != counts.get(tid, 0)}
+    assert not woken, f"timeslices gained by other threads: {woken}"
 
 
 @pytest.mark.parametrize("p", [1, 3])
