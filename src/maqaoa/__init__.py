@@ -42,12 +42,9 @@ from .records import ExperimentRecord
 from .simulator import (
     AngleVector,
     StateVector,
-    apply_cost_phase,
-    apply_mixer_rotation,
     cut_values,
     expectation,
     expectation_and_gradient,
-    prepare_plus_state,
     run_circuit,
 )
 from .strategies import (

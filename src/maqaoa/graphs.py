@@ -370,7 +370,10 @@ def random_nonisomorphic_connected(n: int, count: int, seed: int) -> list[Graph]
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optionally prefixed with >>graph6<<)."""
+    """Decode one graph6 string (optionally prefixed with >>graph6<<).
+
+    The body must be exactly ceil(n(n-1)/12) characters, its padding bits zero.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<") :]
@@ -392,11 +395,14 @@ def parse_graph6(text: str) -> Graph:
     if n > MAX_VERTICES:
         raise CapacityError(f"graph6 vertex count {n} exceeds {MAX_VERTICES}")
     need = n * (n - 1) // 2
-    if len(body) * 6 < need:
-        raise ValueError(f"graph6 string {s!r} too short for n={n}")
+    size = -(-need // 6)
+    if len(body) != size:
+        raise ValueError(f"graph6 string {s!r} has {len(body)} body characters, n={n} needs {size}")
     # six bits per character, most significant first, filling the upper
     # triangle column by column: (0, 1), (0, 2), (1, 2), (0, 3), ...
     bits = np.unpackbits(np.array(body, dtype=np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    if bits[need:].any():
+        raise ValueError(f"graph6 string {s!r} has nonzero padding bits")
     cols, rows = np.tril_indices(n, -1)
     present = bits[:need].astype(bool)
     return Graph(n, tuple(zip(rows[present].tolist(), cols[present].tolist())))
@@ -430,6 +436,8 @@ def read_edge_list(path) -> list[Graph]:
             raise ValueError(f"truncated edge-list header in {path}")
         n, m = values[pos], values[pos + 1]
         pos += 2
+        if m < 0:
+            raise ValueError(f"negative edge count {m} in {path}")
         if pos + 2 * m > len(values):
             raise ValueError(f"truncated edge list in {path}")
         edges = []

@@ -36,8 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import CapacityError
-from .graphs import MAX_VERTICES, Graph
+from .graphs import Graph
 
 # the diagonals are kept factored over a split of the half's basis index
 # into its low _LO_BITS bits and the remaining high bits; see _CostTables
@@ -412,49 +411,11 @@ def cut_values(g: Graph) -> np.ndarray:
     return cuts
 
 
-def prepare_plus_state(n_qubits: int) -> StateVector:
-    """Uniform superposition over all 2^n basis states."""
-    if not 1 <= n_qubits <= MAX_VERTICES:
-        raise CapacityError(
-            f"qubit count must be in [1, {MAX_VERTICES}], got {n_qubits}"
-        )
-    dim = 1 << n_qubits
-    return np.full(dim, dim ** -0.5, dtype=np.complex128)
-
-
 def _check_state(state: np.ndarray) -> int:
     n = int(state.size).bit_length() - 1
     if state.ndim != 1 or state.size != 1 << n:
         raise ValueError(f"state length {state.size} is not a power of two")
     return n
-
-
-def apply_cost_phase(state: StateVector, edge: tuple[int, int], gamma: float) -> StateVector:
-    """Multiply basis states where the edge endpoints' bits differ by exp(-i*gamma).
-
-    Updates the array in place and returns it.
-    """
-    n = _check_state(state)
-    u, v = edge
-    if u == v or not (0 <= u < n and 0 <= v < n):
-        raise ValueError(f"edge {edge} invalid for {n} qubits")
-    index = np.arange(state.size, dtype=np.uint32)
-    differ = (((index >> u) ^ (index >> v)) & 1).astype(bool)
-    state[differ] *= np.exp(-1j * gamma)
-    return state
-
-
-def apply_mixer_rotation(state: StateVector, vertex: int, beta: float) -> StateVector:
-    """Apply the X rotation [[c, -is], [-is, c]] on one qubit, in place."""
-    n = _check_state(state)
-    if not 0 <= vertex < n:
-        raise ValueError(f"vertex {vertex} invalid for {n} qubits")
-    # pairs differing in bit v: (lo, hi) -> c*(lo, hi) - is*(hi, lo)
-    view = state.reshape(-1, 2, 1 << vertex)
-    flipped = view[:, ::-1, :] * (-1j * np.sin(beta))
-    view *= np.cos(beta)
-    view += flipped
-    return state
 
 
 def _check_angles(g: Graph, angles: AngleVector) -> None:

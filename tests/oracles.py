@@ -3,6 +3,16 @@
 Everything here is deliberately naive: dense matrix exponentials, explicit
 Python loops, and brute-force search over permutations. None of it shares
 code paths with the package, so agreement is meaningful evidence.
+
+* Dense oracle: `dense_circuit`, `dense_gradient` and `dense_expectation`
+  build every gate as a 2^n x 2^n matrix exponential.
+* Gate-by-gate reference: `prepare_plus_state`, `apply_cost_phase` and
+  `apply_mixer_rotation` update a full 2^n statevector in place, one edge
+  phase or one vertex rotation at a time, in the package's conventions
+  (bit v of the basis index is vertex v, bit 0 least significant).
+* Brute force: `naive_max_cut`, `naive_expectation`, `brute_canonical`;
+  `fd_gradient` (central differences) and `uniform_p1_expectation` (the
+  closed form of Wang et al. at one shared angle pair).
 """
 
 from __future__ import annotations
@@ -13,7 +23,8 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from maqaoa import AngleVector, Graph, expectation, run_circuit
+from maqaoa import AngleVector, CapacityError, Graph, expectation, run_circuit
+from maqaoa.graphs import MAX_VERTICES
 
 _I2 = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -30,6 +41,51 @@ def _kron_at(op: np.ndarray, qubit: int, n: int) -> np.ndarray:
     for q in range(n - 1, -1, -1):
         out = np.kron(out, op if q == qubit else _I2)
     return out
+
+
+def prepare_plus_state(n_qubits: int) -> np.ndarray:
+    """Uniform superposition over all 2^n basis states."""
+    if not 1 <= n_qubits <= MAX_VERTICES:
+        raise CapacityError(
+            f"qubit count must be in [1, {MAX_VERTICES}], got {n_qubits}"
+        )
+    dim = 1 << n_qubits
+    return np.full(dim, dim ** -0.5, dtype=np.complex128)
+
+
+def _qubits(state: np.ndarray) -> int:
+    n = int(state.size).bit_length() - 1
+    if state.ndim != 1 or state.size != 1 << n:
+        raise ValueError(f"state length {state.size} is not a power of two")
+    return n
+
+
+def apply_cost_phase(state: np.ndarray, edge: tuple[int, int], gamma: float) -> np.ndarray:
+    """Multiply basis states where the edge endpoints' bits differ by exp(-i*gamma).
+
+    Updates the array in place and returns it.
+    """
+    n = _qubits(state)
+    u, v = edge
+    if u == v or not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge {edge} invalid for {n} qubits")
+    index = np.arange(state.size, dtype=np.uint32)
+    differ = (((index >> u) ^ (index >> v)) & 1).astype(bool)
+    state[differ] *= np.exp(-1j * gamma)
+    return state
+
+
+def apply_mixer_rotation(state: np.ndarray, vertex: int, beta: float) -> np.ndarray:
+    """Apply the X rotation [[c, -is], [-is, c]] on one qubit, in place."""
+    n = _qubits(state)
+    if not 0 <= vertex < n:
+        raise ValueError(f"vertex {vertex} invalid for {n} qubits")
+    # pairs differing in bit v: (lo, hi) -> c*(lo, hi) - is*(hi, lo)
+    view = state.reshape(-1, 2, 1 << vertex)
+    flipped = view[:, ::-1, :] * (-1j * np.sin(beta))
+    view *= np.cos(beta)
+    view += flipped
+    return state
 
 
 def dense_edge_cost(n: int, u: int, v: int) -> np.ndarray:

@@ -19,21 +19,25 @@ from maqaoa import (
     OptimizerConfig,
     RunConfig,
     angle_concentration,
-    apply_cost_phase,
-    apply_mixer_rotation,
     canonical_form,
     cut_values,
     enumerate_connected,
     expectation,
     expectation_and_gradient,
     optimize_angles,
-    prepare_plus_state,
     random_nonisomorphic_connected,
     round_to_pi8,
     run_circuit,
     run_experiment,
 )
-from oracles import dense_circuit, dense_cost, fd_gradient
+from oracles import (
+    apply_cost_phase,
+    apply_mixer_rotation,
+    dense_circuit,
+    dense_cost,
+    fd_gradient,
+    prepare_plus_state,
+)
 
 
 def random_vector(rng, g, p):

@@ -20,6 +20,7 @@ from maqaoa import (
     read_graph6,
     write_edge_list,
 )
+from maqaoa.graphs import MAX_VERTICES
 from oracles import brute_canonical, naive_max_cut
 
 
@@ -98,6 +99,17 @@ def test_max_cut_matches_naive_oracle_on_random_graphs():
 def test_bipartite_max_cut_equals_edge_count(path4, star4, c4):
     for g in (path4, star4, c4):
         assert max_cut(g) == g.edge_count
+
+
+def test_max_cut_at_the_vertex_cap():
+    """An odd cycle on vertices 0..22 cuts all but one of its edges, and the
+    pendant edge to vertex 23 is always cut. The scan covers 2^23 masks; its
+    peak is about 185 MB."""
+    n = MAX_VERTICES
+    odd_cycle = tuple((v, (v + 1) % (n - 1)) for v in range(n - 1))
+    g = Graph(n, odd_cycle + ((n - 2, n - 1),))
+    assert g.edge_count == n
+    assert max_cut(g) == n - 1
 
 
 # ----- enumeration -----
@@ -271,6 +283,14 @@ def test_parse_graph6_header_and_errors():
         parse_graph6("")
     with pytest.raises(ValueError):
         parse_graph6("A" + chr(200))
+    # a graph6 body is exactly ceil(n(n-1)/12) characters: one for n = 2
+    for text in ("A_?", "A_~~", "C"):
+        with pytest.raises(ValueError, match="body characters"):
+            parse_graph6(text)
+    # K2 has one edge bit; the other five bits of its character are padding
+    for text in ("A`", "A~"):
+        with pytest.raises(ValueError, match="padding"):
+            parse_graph6(text)
 
 
 def test_parse_graph6_long_form_vertex_count():
@@ -301,4 +321,7 @@ def test_read_edge_list_rejects_garbage(tmp_path):
     path = tmp_path / "bad.edges"
     path.write_text("3 1\n0\n")
     with pytest.raises(ValueError):
+        read_edge_list(path)
+    path.write_text("4 -2\n")
+    with pytest.raises(ValueError, match="negative edge count -2 in .*bad.edges"):
         read_edge_list(path)

@@ -11,13 +11,10 @@ from maqaoa import (
     AngleVector,
     CapacityError,
     Graph,
-    apply_cost_phase,
-    apply_mixer_rotation,
     cut_values,
     enumerate_connected,
     expectation,
     expectation_and_gradient,
-    prepare_plus_state,
     random_nonisomorphic_connected,
     run_circuit,
 )
@@ -35,11 +32,14 @@ from maqaoa.simulator import (
 )
 from conftest import random_angles
 from oracles import (
+    apply_cost_phase,
+    apply_mixer_rotation,
     dense_circuit,
     dense_expectation,
     dense_gradient,
     fd_gradient,
     naive_expectation,
+    prepare_plus_state,
     uniform_p1_expectation,
 )
 
@@ -685,3 +685,34 @@ def test_uniform_angles_match_single_angle_formula():
                 angles = AngleVector(np.full((1, g.edge_count), gamma), np.full((1, g.n), beta))
                 value, _ = expectation_and_gradient(g, angles)
                 assert abs(value - uniform_p1_expectation(g, gamma, beta)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [
+    # a ladder of triangles: edges (v, v + 1) and (v, v + 2)
+    Graph(MAX_VERTICES, tuple(
+        (v, w) for v in range(MAX_VERTICES) for w in (v + 1, v + 2) if w < MAX_VERTICES
+    )),
+    # the bipartite 4 x 6 grid
+    Graph(MAX_VERTICES, tuple(
+        (v, w) for v in range(MAX_VERTICES) for w in (v + 1, v + 6)
+        if w < MAX_VERTICES and (w == v + 6 or w % 6)
+    )),
+], ids=lambda g: f"n{g.n}m{g.edge_count}")
+def test_closed_form_at_the_vertex_cap(g):
+    """At n = 24 one layer needs no statevector. At uniform angles the value
+    is the single-angle formula, and the gamma and beta gradients sum to its
+    partial derivatives (central differences)."""
+    m, h = g.edge_count, 1e-6
+    rng = np.random.default_rng(25)
+    for gamma, beta in rng.uniform(-np.pi, np.pi, (3, 2)):
+        angles = AngleVector(np.full((1, m), gamma), np.full((1, g.n), beta))
+        value, grad = expectation_and_gradient(g, angles)
+        assert abs(value - uniform_p1_expectation(g, gamma, beta)) < 1e-12
+        d_gamma = (
+            uniform_p1_expectation(g, gamma + h, beta) - uniform_p1_expectation(g, gamma - h, beta)
+        ) / (2 * h)
+        d_beta = (
+            uniform_p1_expectation(g, gamma, beta + h) - uniform_p1_expectation(g, gamma, beta - h)
+        ) / (2 * h)
+        assert abs(grad[:m].sum() - d_gamma) < 1e-6
+        assert abs(grad[m:].sum() - d_beta) < 1e-6

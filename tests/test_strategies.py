@@ -9,8 +9,6 @@ from maqaoa import (
     Graph,
     PI8,
     STRATEGY_KINDS,
-    apply_cost_phase,
-    apply_mixer_rotation,
     expectation,
     init_max_degree_zero,
     init_random_pi8,
@@ -18,12 +16,12 @@ from maqaoa import (
     is_multiple_of_pi8,
     normalize_angle,
     normalize_angles,
-    prepare_plus_state,
     round_angles,
     round_to_pi8,
     run_circuit,
     run_strategy,
 )
+from oracles import apply_cost_phase, apply_mixer_rotation, prepare_plus_state
 
 
 # ----- normalize / round -----
