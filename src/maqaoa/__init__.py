@@ -54,7 +54,6 @@ from .strategies import (
     init_max_degree_zero,
     init_random_pi8,
     init_uniform_random,
-    is_multiple_of_pi8,
     normalize_angle,
     normalize_angles,
     pi8_multiples,

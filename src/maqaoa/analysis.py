@@ -6,16 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, _find, max_degree_vertices
+from .graphs import Graph, _find, max_degree_incidence
 from .records import STRATEGY_KINDS, ExperimentRecord
 from .simulator import AngleVector
-from .strategies import PI8, PI8_TOLERANCE, normalize_angles, pi8_multiples
+from .strategies import PI8, PI8_TOLERANCE, normalize_angle, normalize_angles, pi8_multiples
 
 HISTOGRAM_BINS = 16
 HISTOGRAM_BIN_LEFT_EDGES = tuple(-np.pi + k * PI8 for k in range(HISTOGRAM_BINS))
 
 #: Two ARs within this distance count as equal in difference summaries.
 SAME_AR_TOLERANCE = 5e-4
+#: Width of the bins of the AR difference histogram.
+AR_DIFFERENCE_BIN_WIDTH = 0.01
 
 
 @dataclass(frozen=True)
@@ -71,7 +73,7 @@ def _require_records(records) -> list[ExperimentRecord]:
     return records
 
 
-def angle_concentration(records, tolerance: float = PI8_TOLERANCE) -> AngleStats:
+def angle_concentration(records) -> AngleStats:
     """How strongly final angles cluster on multiples of pi/8.
 
     Counts every stored angle (normalized to [-pi, pi)) across all records,
@@ -89,9 +91,7 @@ def angle_concentration(records, tolerance: float = PI8_TOLERANCE) -> AngleStats
         beta_count += angles.beta.size
         flat = normalize_angles(angles).flatten()
         total += flat.size
-        if flat.size == 0:
-            continue
-        multiples += int(pi8_multiples(angles.flatten(), tolerance).sum())
+        multiples += int(pi8_multiples(flat).sum())
         bins = np.clip(
             np.floor((flat + np.pi) / PI8).astype(np.int64), 0, HISTOGRAM_BINS - 1
         )
@@ -105,7 +105,7 @@ def angle_concentration(records, tolerance: float = PI8_TOLERANCE) -> AngleStats
     )
 
 
-def max_degree_zero_fraction(records, tolerance: float = PI8_TOLERANCE) -> float:
+def max_degree_zero_fraction(records) -> float:
     """Fraction of angles at maximum-degree vertices that are (near) zero.
 
     For every record, every maximum-degree vertex v, and every layer, the
@@ -116,34 +116,23 @@ def max_degree_zero_fraction(records, tolerance: float = PI8_TOLERANCE) -> float
     near = 0
     total = 0
     for record in records:
-        g = record.graph()
+        hits, top = max_degree_incidence(record.graph())
         angles = normalize_angles(record.angle_vector())
-        gamma = np.abs(angles.gamma)
-        beta = np.abs(angles.beta)
-        for v in max_degree_vertices(g):
-            near += int((beta[:, v] < tolerance).sum())
-            total += angles.p
-            for k, (a, b) in enumerate(g.edges):
-                if v in (a, b):
-                    near += int((gamma[:, k] < tolerance).sum())
-                    total += angles.p
-    return near / total if total else 0.0
+        near += int((np.abs(angles.beta[:, top]) < PI8_TOLERANCE).sum())
+        near += int((hits * (np.abs(angles.gamma) < PI8_TOLERANCE)).sum())
+        total += angles.p * int(top.sum() + hits.sum())
+    return near / total
 
 
-def ar_difference_histogram(
-    base_records,
-    other_records,
-    bin_width: float = 0.01,
-) -> ArDifferenceStats:
+def ar_difference_histogram(base_records, other_records) -> ArDifferenceStats:
     """Distribution of final AR differences, base minus other.
 
     Records are paired by (graph id, p, replicate); both sides must cover
-    exactly the same keys. Bin k covers [k*bin_width, (k+1)*bin_width).
+    exactly the same keys. Bin k covers [k*w, (k+1)*w) for the width w of
+    AR_DIFFERENCE_BIN_WIDTH.
     """
     base_records = _require_records(base_records)
     other_records = _require_records(other_records)
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
 
     def index(records, label):
         table = {}
@@ -163,9 +152,9 @@ def ar_difference_histogram(
     diffs = np.array(
         [base[k].final_ar - other[k].final_ar for k in sorted(base)], dtype=np.float64
     )
-    bin_index = np.floor(diffs / bin_width).astype(np.int64)
+    bin_index = np.floor(diffs / AR_DIFFERENCE_BIN_WIDTH).astype(np.int64)
     bins = tuple(
-        (float(k * bin_width), int((bin_index == k).sum()))
+        (float(k * AR_DIFFERENCE_BIN_WIDTH), int((bin_index == k).sum()))
         for k in sorted(set(bin_index.tolist()))
     )
     return ArDifferenceStats(
@@ -208,15 +197,14 @@ def aggregate_table(records) -> list[AggregateRow]:
     return rows
 
 
-def forest_check(
-    g: Graph, angles: AngleVector, tolerance: float = PI8_TOLERANCE
-) -> ForestReport:
+def forest_check(g: Graph, angles: AngleVector) -> ForestReport:
     """Group each layer's edges by equal gamma and test the groups for cycles.
 
-    Edges whose normalized gammas sit within tolerance of each other (by
-    chaining along the sorted values) form one class; a class is acyclic when
-    its edges induce a forest. The report covers all layers; an edgeless
-    graph yields no classes and fraction 1.
+    Edges whose normalized gammas sit within PI8_TOLERANCE of each other (by
+    chaining along the sorted values, and across +-pi) form one class, whose
+    gamma is their normalized mean; a class is acyclic when its edges induce
+    a forest. The report covers all layers; an edgeless graph yields no
+    classes and fraction 1.
     """
     if angles.gamma.shape[1] != g.edge_count or angles.beta.shape[1] != g.n:
         raise ValueError("angle shape does not match graph")
@@ -228,12 +216,22 @@ def forest_check(
         cluster: list[int] = []
         clusters: list[list[int]] = []
         for k in order:
-            if cluster and values[k] - values[cluster[-1]] >= tolerance:
+            if cluster and values[k] - values[cluster[-1]] >= PI8_TOLERANCE:
                 clusters.append(cluster)
                 cluster = []
             cluster.append(k)
         if cluster:
             clusters.append(cluster)
+        # gammas are angles mod 2*pi: the last class joins the first when
+        # they meet across +-pi, its members shifted down by 2*pi
+        if (
+            len(clusters) > 1
+            and values[clusters[0][0]] + 2.0 * np.pi - values[clusters[-1][-1]]
+            < PI8_TOLERANCE
+        ):
+            wrapped = clusters.pop()
+            values[wrapped] -= 2.0 * np.pi
+            clusters[0] = wrapped + clusters[0]
         for members in clusters:
             edges = tuple(g.edges[k] for k in members)
             parent = list(range(g.n))
@@ -247,7 +245,7 @@ def forest_check(
             classes.append(
                 ForestClass(
                     layer=layer,
-                    gamma=float(np.mean([values[k] for k in members])),
+                    gamma=float(normalize_angle(np.mean(values[members]))),
                     edges=edges,
                     acyclic=acyclic,
                 )

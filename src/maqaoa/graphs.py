@@ -116,27 +116,49 @@ def max_degree_vertices(g: Graph) -> list[int]:
     return [v for v, d in enumerate(degs) if d == top]
 
 
+def max_degree_incidence(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Where the maximum-degree vertices sit, as (hits, top).
+
+    hits[k] counts the endpoints of edge k that have maximum degree (0, 1 or
+    2); top[v] is True for every maximum-degree vertex. The angles at a
+    maximum-degree vertex are the gammas with hits > 0 and the betas in top.
+    """
+    degs = np.array(g.degrees())
+    top = degs == degs.max()
+    hits = top[np.array(g.edges, dtype=np.int64).reshape(-1, 2)].sum(axis=1)
+    return hits, top
+
+
 # ===== MaxCut oracle =====
+
+
+# masks per block of the MaxCut scan; a block's temporaries take about 1 MB
+_MAX_CUT_BLOCK = 1 << 16
 
 
 @lru_cache(maxsize=4096)
 def max_cut(g: Graph) -> int:
     """Exact MaxCut value by exhaustive bipartition search.
 
-    Vertex 0 is pinned to one side, halving the search to 2^(n-1) bitmasks.
-    Runtime doubles per vertex; intended range is n <= 24.
+    Vertex 0 is pinned to one side, halving the search to 2^(n-1) bitmasks,
+    which are scanned in blocks of _MAX_CUT_BLOCK. Runtime doubles per
+    vertex; intended range is n <= 24.
     """
     if not g.edges:
         return 0
-    # bit i of the mask holds the side of vertex i+1; vertex 0 sits on side 0
-    sides = np.arange(1 << (g.n - 1), dtype=np.uint32)
-    cuts = np.zeros(sides.shape, dtype=np.uint16)
-    for u, v in g.edges:
-        if u == 0:
-            cuts += ((sides >> (v - 1)) & 1).astype(np.uint16)
-        else:
-            cuts += (((sides >> (u - 1)) ^ (sides >> (v - 1))) & 1).astype(np.uint16)
-    return int(cuts.max())
+    masks = 1 << (g.n - 1)
+    best = 0
+    for first in range(0, masks, _MAX_CUT_BLOCK):
+        # bit i of the mask holds the side of vertex i+1; vertex 0 sits on side 0
+        sides = np.arange(first, min(first + _MAX_CUT_BLOCK, masks), dtype=np.uint32)
+        cuts = np.zeros(sides.shape, dtype=np.uint16)
+        for u, v in g.edges:
+            if u == 0:
+                cuts += ((sides >> (v - 1)) & 1).astype(np.uint16)
+            else:
+                cuts += (((sides >> (u - 1)) ^ (sides >> (v - 1))) & 1).astype(np.uint16)
+        best = max(best, int(cuts.max()))
+    return best
 
 
 # ===== canonical labeling =====

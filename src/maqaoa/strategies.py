@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from .graphs import Graph, max_cut, max_degree_vertices
+from .graphs import Graph, max_cut, max_degree_incidence
 from .optimizer import optimize_angles
 from .records import STRATEGY_KINDS, ExperimentRecord
 from .simulator import AngleVector, expectation, run_circuit
@@ -20,18 +20,17 @@ PI8 = math.pi / 8
 PI8_TOLERANCE = 5e-4
 
 
-def normalize_angle(theta: float) -> float:
-    """Map an angle to [-pi, pi); +pi lands on -pi."""
-    return float(_normalize_array(theta))
+def normalize_angle(values) -> np.ndarray:
+    """Map angles to [-pi, pi), elementwise; +pi lands on -pi.
 
-
-def _normalize_array(values: np.ndarray) -> np.ndarray:
+    A scalar angle gives a numpy.float64, which is a Python float.
+    """
     values = np.asarray(values, dtype=np.float64)
     return values - 2.0 * np.pi * np.floor((values + np.pi) / (2.0 * np.pi))
 
 
-def _round_to_pi8_array(values: np.ndarray) -> np.ndarray:
-    """Nearest multiples of pi/8; exact halfway points round away from zero."""
+def round_to_pi8(values) -> np.ndarray:
+    """Nearest multiples of pi/8, elementwise; halfway points round away from zero."""
     k = np.asarray(values, dtype=np.float64) / PI8
     # integer step counts, so that angles just below zero snap to 0.0, not
     # -0.0; a non-finite angle raises instead of casting to garbage
@@ -40,30 +39,20 @@ def _round_to_pi8_array(values: np.ndarray) -> np.ndarray:
     return steps * PI8
 
 
-def round_to_pi8(theta: float) -> float:
-    """Nearest multiple of pi/8; exact halfway points round away from zero."""
-    return float(_round_to_pi8_array(theta))
-
-
 def pi8_multiples(values, tolerance: float = PI8_TOLERANCE) -> np.ndarray:
     """Elementwise: is the normalized angle within tolerance of a pi/8 multiple?"""
-    t = _normalize_array(values)
-    return np.abs(t - _round_to_pi8_array(t)) < tolerance
-
-
-def is_multiple_of_pi8(theta: float, tolerance: float = PI8_TOLERANCE) -> bool:
-    """True when the normalized angle sits within tolerance of a pi/8 multiple."""
-    return bool(pi8_multiples(theta, tolerance))
+    t = normalize_angle(values)
+    return np.abs(t - round_to_pi8(t)) < tolerance
 
 
 def normalize_angles(angles: AngleVector) -> AngleVector:
-    return AngleVector(_normalize_array(angles.gamma), _normalize_array(angles.beta))
+    return AngleVector(normalize_angle(angles.gamma), normalize_angle(angles.beta))
 
 
 def round_angles(angles: AngleVector) -> AngleVector:
     """Normalize then snap every angle to its nearest pi/8 multiple."""
     norm = normalize_angles(angles)
-    return AngleVector(_round_to_pi8_array(norm.gamma), _round_to_pi8_array(norm.beta))
+    return AngleVector(round_to_pi8(norm.gamma), round_to_pi8(norm.beta))
 
 
 def init_uniform_random(g: Graph, p: int, seed: int) -> AngleVector:
@@ -89,15 +78,10 @@ def init_max_degree_zero(g: Graph, p: int, seed: int) -> AngleVector:
     of each edge incident to v are set to zero.
     """
     angles = init_random_pi8(g, p, seed)
-    gamma = angles.gamma.copy()
-    beta = angles.beta.copy()
-    tops = set(max_degree_vertices(g))
-    for v in tops:
-        beta[:, v] = 0.0
-    for k, (u, v) in enumerate(g.edges):
-        if u in tops or v in tops:
-            gamma[:, k] = 0.0
-    return AngleVector(gamma, beta)
+    hits, top = max_degree_incidence(g)
+    angles.gamma[:, hits > 0] = 0.0
+    angles.beta[:, top] = 0.0
+    return angles
 
 
 def _round_prior(

@@ -13,6 +13,8 @@ code paths with the package, so agreement is meaningful evidence.
 * Brute force: `naive_max_cut`, `naive_expectation`, `brute_canonical`;
   `fd_gradient` (central differences) and `uniform_p1_expectation` (the
   closed form of Wang et al. at one shared angle pair).
+* Report statistics: `naive_max_degree_zero_fraction`, one maximum-degree
+  vertex at a time.
 """
 
 from __future__ import annotations
@@ -23,7 +25,16 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from maqaoa import AngleVector, CapacityError, Graph, expectation, run_circuit
+from maqaoa import (
+    AngleVector,
+    CapacityError,
+    Graph,
+    PI8_TOLERANCE,
+    expectation,
+    max_degree_vertices,
+    normalize_angles,
+    run_circuit,
+)
 from maqaoa.graphs import MAX_VERTICES
 
 _I2 = np.eye(2, dtype=np.complex128)
@@ -227,3 +238,27 @@ def brute_canonical(g: Graph) -> tuple:
         if best is None or relabeled < best:
             best = relabeled
     return (g.n, best)
+
+
+def naive_max_degree_zero_fraction(records) -> float:
+    """Share of the angles at maximum-degree vertices within PI8_TOLERANCE of 0.
+
+    For every record, every maximum-degree vertex v, and every layer, the
+    considered angles are beta_v plus the gamma of each edge incident to v,
+    so an edge joining two maximum-degree vertices counts once per endpoint.
+    """
+    near = 0
+    total = 0
+    for record in records:
+        g = record.graph()
+        angles = normalize_angles(record.angle_vector())
+        gamma = np.abs(angles.gamma)
+        beta = np.abs(angles.beta)
+        for v in max_degree_vertices(g):
+            near += int((beta[:, v] < PI8_TOLERANCE).sum())
+            total += angles.p
+            for k, (a, b) in enumerate(g.edges):
+                if v in (a, b):
+                    near += int((gamma[:, k] < PI8_TOLERANCE).sum())
+                    total += angles.p
+    return near / total

@@ -8,15 +8,20 @@ from maqaoa import (
     ExperimentRecord,
     Graph,
     PI8,
+    PI8_TOLERANCE,
     aggregate_table,
     angle_concentration,
     ar_difference_histogram,
+    enumerate_connected,
     forest_check,
     init_random_pi8,
     max_degree_zero_fraction,
+    pi8_multiples,
     run_strategy,
 )
 from maqaoa.analysis import HISTOGRAM_BINS, HISTOGRAM_BIN_LEFT_EDGES
+from maqaoa.graphs import max_degree_incidence
+from oracles import naive_max_degree_zero_fraction
 
 
 def make_record(g: Graph, angles, *, p=1, strategy="normal", graph_id=None,
@@ -73,7 +78,8 @@ def test_angle_concentration_two_of_three(k2):
 def test_angle_concentration_on_pi8_init_is_total(path4):
     angles = init_random_pi8(path4, 2, seed=1)
     record = make_record(path4, angles.flatten(), p=2)
-    stats = angle_concentration([record], tolerance=1e-12)
+    assert pi8_multiples(angles.flatten(), tolerance=1e-12).all()
+    stats = angle_concentration([record])
     assert stats.pi8_multiples == stats.total_angles == 14
 
 
@@ -94,8 +100,33 @@ def test_angle_concentration_histogram_placement(k2):
 # ----- max-degree zero fraction -----
 
 def test_max_degree_zero_fraction_by_construction(star4):
-    record = run_strategy(star4, "max_degree_zero_no_opt", 2, 2)
-    assert max_degree_zero_fraction([record]) == 1.0
+    for g in [star4, *enumerate_connected(5)]:
+        for p in (1, 2):
+            record = run_strategy(g, "max_degree_zero_no_opt", p, 2)
+            assert max_degree_zero_fraction([record]) == 1.0
+
+
+def test_max_degree_zero_fraction_matches_per_vertex_reference():
+    graphs = enumerate_connected(5)
+    assert len(graphs) == 21
+    # some graphs join two maximum-degree vertices by an edge, K5 among them
+    assert sum(int((max_degree_incidence(g)[0] == 2).any()) for g in graphs) > 1
+    rng = np.random.default_rng(21)
+    records = []
+    for g in graphs:
+        for p in (1, 2):
+            angles = rng.uniform(-math.pi, math.pi, p * (g.edge_count + g.n))
+            # about half the angles within twice the tolerance of 0 mod 2*pi
+            near = rng.random(angles.size) < 0.5
+            angles[near] = rng.uniform(-2, 2, near.sum()) * PI8_TOLERANCE
+            angles[near] += 2 * math.pi * rng.integers(-1, 2, near.sum())
+            records.append(make_record(g, angles, p=p))
+    for record in records:
+        expected = naive_max_degree_zero_fraction([record])
+        assert max_degree_zero_fraction([record]) == expected
+    expected = naive_max_degree_zero_fraction(records)
+    assert 0.0 < expected < 1.0
+    assert max_degree_zero_fraction(records) == expected
 
 
 def test_max_degree_zero_fraction_all_quarter_pi(k4):
@@ -234,11 +265,29 @@ def test_forest_check_triangle_distinct_gammas(triangle):
 
 def test_forest_check_clusters_within_tolerance(triangle):
     angles = AngleVector([[0.5, 0.5 + 1e-5, 1.5]], [[0.0] * 3])
-    report = forest_check(triangle, angles, tolerance=1e-4)
+    report = forest_check(triangle, angles)
     assert len(report.classes) == 2
     sizes = sorted(len(c.edges) for c in report.classes)
     assert sizes == [1, 2]
     assert report.acyclic_fraction == 1.0
+
+
+def test_forest_check_classes_wrap_across_pi(triangle):
+    # gammas are angles mod 2*pi; the second set is a stored -pi that reads
+    # back from CSV as just below pi
+    for gammas in (
+        [math.pi - 1e-5, -math.pi, -math.pi + 1e-5],
+        [math.pi - 2e-13, -math.pi, -math.pi],
+    ):
+        report = forest_check(triangle, AngleVector([gammas], [[0.0] * 3]))
+        assert len(report.classes) == 1
+        assert not report.classes[0].acyclic
+        assert report.acyclic_fraction == 0.0
+        assert -math.pi <= report.classes[0].gamma < math.pi
+        assert math.pi - abs(report.classes[0].gamma) < 1e-5
+    # ends further apart than PI8_TOLERANCE across +-pi stay apart
+    apart = AngleVector([[math.pi - 1e-3, -math.pi, 0.5]], [[0.0] * 3])
+    assert len(forest_check(triangle, apart).classes) == 3
 
 
 def test_forest_check_per_layer(c4):

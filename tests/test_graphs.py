@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -20,7 +21,7 @@ from maqaoa import (
     read_graph6,
     write_edge_list,
 )
-from maqaoa.graphs import MAX_VERTICES
+from maqaoa.graphs import MAX_VERTICES, max_degree_incidence
 from oracles import brute_canonical, naive_max_cut
 
 
@@ -103,13 +104,20 @@ def test_bipartite_max_cut_equals_edge_count(path4, star4, c4):
 
 def test_max_cut_at_the_vertex_cap():
     """An odd cycle on vertices 0..22 cuts all but one of its edges, and the
-    pendant edge to vertex 23 is always cut. The scan covers 2^23 masks; its
-    peak is about 185 MB."""
+    pendant edge to vertex 23 is always cut. The scan covers 2^23 masks in
+    blocks, so its peak stays far below the 32 MB of the masks alone."""
     n = MAX_VERTICES
     odd_cycle = tuple((v, (v + 1) % (n - 1)) for v in range(n - 1))
     g = Graph(n, odd_cycle + ((n - 2, n - 1),))
     assert g.edge_count == n
-    assert max_cut(g) == n - 1
+    tracemalloc.start()
+    try:
+        value = max_cut.__wrapped__(g)  # uncached, so the scan runs here
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == n - 1
+    assert peak < 8 * 2**20
 
 
 # ----- enumeration -----
@@ -234,6 +242,17 @@ def test_max_degree_vertices(star4, k4, path4):
     assert max_degree_vertices(star4) == [0]
     assert max_degree_vertices(k4) == [0, 1, 2, 3]
     assert max_degree_vertices(path4) == [1, 2]
+    # (graph, maximum-degree endpoints per edge, maximum-degree vertices)
+    cases = [
+        (star4, [1, 1, 1], [True, False, False, False]),
+        (k4, [2] * 6, [True] * 4),
+        (path4, [1, 2, 1], [False, True, True, False]),
+        (Graph(3), [], [True] * 3),
+    ]
+    for g, hits, top in cases:
+        got_hits, got_top = max_degree_incidence(g)
+        assert got_hits.tolist() == hits
+        assert got_top.tolist() == top
 
 
 # ----- random generation -----

@@ -13,9 +13,9 @@ from maqaoa import (
     init_max_degree_zero,
     init_random_pi8,
     init_uniform_random,
-    is_multiple_of_pi8,
     normalize_angle,
     normalize_angles,
+    pi8_multiples,
     round_angles,
     round_to_pi8,
     run_circuit,
@@ -31,6 +31,8 @@ def test_normalize_angle_examples():
     assert normalize_angle(-math.pi) == -math.pi
     assert normalize_angle(math.pi) == -math.pi
     assert normalize_angle(0.0) == 0.0
+    assert isinstance(normalize_angle(0.5), float)
+    assert isinstance(round_to_pi8(0.5), float)
     assert abs(normalize_angle(7 * math.pi) - (-math.pi)) < 1e-9
 
 
@@ -60,11 +62,15 @@ def test_round_to_pi8_bound_and_idempotence():
         assert abs(r / PI8 - round(r / PI8)) < 1e-9
 
 
-def test_is_multiple_of_pi8():
-    assert is_multiple_of_pi8(math.pi / 4)
-    assert not is_multiple_of_pi8(math.pi / 4 + 0.01)
-    assert is_multiple_of_pi8(2 * math.pi + PI8)
-    assert is_multiple_of_pi8(math.pi / 4 + 0.01, tolerance=0.02)
+def test_pi8_multiples():
+    assert pi8_multiples(math.pi / 4)
+    assert not pi8_multiples(math.pi / 4 + 0.01)
+    assert pi8_multiples(2 * math.pi + PI8)
+    assert pi8_multiples(math.pi / 4 + 0.01, tolerance=0.02)
+    np.testing.assert_array_equal(
+        pi8_multiples([[PI8, 0.01], [-math.pi, math.pi - 1e-9]]),
+        [[True, False], [True, True]],
+    )
 
 
 def test_round_angles_vector_behavior():
@@ -136,8 +142,7 @@ def test_init_uniform_random_contract(k2):
 
 def test_init_random_pi8_all_multiples(path4):
     angles = init_random_pi8(path4, 3, seed=7)
-    for theta in angles.flatten():
-        assert is_multiple_of_pi8(theta, tolerance=1e-12)
+    assert pi8_multiples(angles.flatten(), tolerance=1e-12).all()
     again = init_random_pi8(path4, 3, seed=7)
     np.testing.assert_array_equal(angles.flatten(), again.flatten())
 
@@ -158,8 +163,7 @@ def test_init_max_degree_zero_star(star4):
     angles = init_max_degree_zero(star4, 1, seed=8)
     np.testing.assert_array_equal(angles.gamma, np.zeros((1, 3)))
     assert angles.beta[0, 0] == 0.0
-    for v in (1, 2, 3):
-        assert is_multiple_of_pi8(angles.beta[0, v], tolerance=1e-12)
+    assert pi8_multiples(angles.beta[0, 1:], tolerance=1e-12).all()
 
 
 def test_init_max_degree_zero_k4_all_zero(k4):
@@ -173,7 +177,7 @@ def test_init_max_degree_zero_path(path4):
     np.testing.assert_array_equal(angles.beta[:, 1], np.zeros(2))
     np.testing.assert_array_equal(angles.beta[:, 2], np.zeros(2))
     free = np.concatenate([angles.beta[:, 0], angles.beta[:, 3]])
-    assert all(is_multiple_of_pi8(t, tolerance=1e-12) for t in free)
+    assert pi8_multiples(free, tolerance=1e-12).all()
 
 
 # ----- run_strategy -----
@@ -239,7 +243,7 @@ def test_rounded_no_opt_fixed_point(triangle):
     # rounding an already-rounded record changes nothing
     assert twice.final_ar == rounded.final_ar
     assert twice.final_angles == rounded.final_angles
-    assert all(is_multiple_of_pi8(t, tolerance=1e-9) for t in rounded.final_angles)
+    assert pi8_multiples(rounded.final_angles, tolerance=1e-9).all()
 
 
 def test_record_angles_reproduce_final_ar(four_vertex_graphs):
