@@ -39,13 +39,29 @@ from .records import (
     STRATEGY_KINDS,
     ExperimentRecord,
     csv_table,
-    format_float,
     read_records,
     write_records,
 )
 from .strategies import run_strategy
 
 _COMPARISONS = ("rounded_no_opt", "random_pi8_opt", "max_degree_zero_opt")
+
+#: Every table `report` writes, file name -> header, in the order written.
+_REPORT_HEADERS = {
+    "aggregate.csv": ("n", "p", "strategy", "mean_ar", "std_ar", "graph_count"),
+    "angle_concentration.csv": (
+        "n", "p", "strategy", "total_angles", "pi8_multiples", "pi8_fraction",
+        "gamma_count", "beta_count",
+    ),
+    "angle_histogram.csv": ("n", "p", "strategy", "bin_left", "count"),
+    "max_degree_zero.csv": ("n", "p", "strategy", "zero_fraction"),
+    "forest_summary.csv": ("n", "p", "strategy", "mean_acyclic_fraction", "records"),
+    "ar_difference_summary.csv": (
+        "n", "p", "comparison", "pairs", "mean_difference", "same_ar_fraction",
+        "other_ge_base_fraction",
+    ),
+    "ar_difference_histogram.csv": ("n", "p", "comparison", "bin_left", "count"),
+}
 
 
 @dataclass(frozen=True)
@@ -91,7 +107,8 @@ def load_dataset(spec: str, master_seed: int) -> list[Graph]:
     Supported forms: builtin:nK for the connected K-vertex catalog (K <= 6),
     g6:PATH for a graph6 file, edges:PATH for an edge-list file, and
     random:n=9,count=50[,seed=S] for seeded random non-isomorphic connected
-    graphs (seed defaults to a value derived from the master seed).
+    graphs (seed defaults to a value derived from the master seed; a key
+    given twice is an error).
     """
     kind, sep, arg = spec.partition(":")
     if not sep:
@@ -108,9 +125,12 @@ def load_dataset(spec: str, master_seed: int) -> list[Graph]:
         params: dict[str, int] = {}
         for item in arg.split(","):
             key, eq, value = item.partition("=")
+            key = key.strip()
             if not eq:
                 raise ValueError(f"bad random dataset parameter {item!r}")
-            params[key.strip()] = int(value)
+            if key in params:
+                raise ValueError(f"random dataset parameter {key!r} given twice")
+            params[key] = int(value)
         extra = set(params) - {"n", "count", "seed"}
         if extra or "n" not in params or "count" not in params:
             raise ValueError(
@@ -122,21 +142,21 @@ def load_dataset(spec: str, master_seed: int) -> list[Graph]:
 
 
 def _graph_records(g: Graph, config: RunConfig) -> list[ExperimentRecord]:
+    """One graph's cells, run in record order: p, strategy, replicate."""
+    kinds = [kind for kind in STRATEGY_KINDS if kind in config.strategies]
     records = []
-    for p in config.p_values:
-        for replicate in range(config.replicates):
-            normal_record = None
-            for kind in STRATEGY_KINDS:
-                if kind not in config.strategies:
-                    continue
+    for p in sorted(config.p_values):
+        # the normal record of each replicate, which rounded_no_opt rounds
+        normal: dict[int, ExperimentRecord] = {}
+        for kind in kinds:
+            for replicate in range(config.replicates):
                 seed = derive_seed(config.seed, g.id, kind, p, replicate)
                 record = run_strategy(
-                    g, kind, p, seed, prior=normal_record, replicate=replicate
+                    g, kind, p, seed, prior=normal.get(replicate), replicate=replicate
                 )
                 if kind == "normal":
-                    normal_record = record
+                    normal[replicate] = record
                 records.append(record)
-    records.sort(key=lambda r: (r.p, STRATEGY_KINDS.index(r.strategy), r.replicate))
     return records
 
 
@@ -177,10 +197,10 @@ def run_experiment(config: RunConfig) -> list[ExperimentRecord]:
 def report(records_path, out_dir) -> list[Path]:
     """Produce the analysis CSVs for a records file; returns written paths.
 
-    Outputs: aggregate.csv, angle_concentration.csv, angle_histogram.csv,
-    max_degree_zero.csv, forest_summary.csv, and (when the paired strategies
-    are present) ar_difference_summary.csv and ar_difference_histogram.csv.
-    Deterministic: the same records file yields byte-identical outputs.
+    Outputs are the tables of `_REPORT_HEADERS`, in its order; the two
+    ar_difference tables only when the paired strategies are present.
+    Every table is computed before out_dir is created. Deterministic: the
+    same records file yields byte-identical outputs.
     """
     records = read_records(records_path)
     blocks: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
@@ -191,128 +211,60 @@ def report(records_path, out_dir) -> list[Path]:
             raise ValueError(f"{records_path}: cell {cell} appears twice")
         cells.add(cell)
         blocks.setdefault(report_key(record), []).append(record)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
-    def emit(name: str, header, rows) -> None:
-        path = out / name
-        with csv_table(path, header) as write:
-            write(rows)
-        written.append(path)
-
-    emit(
-        "aggregate.csv",
-        ("n", "p", "strategy", "mean_ar", "std_ar", "graph_count"),
-        (
-            (
-                row.n,
-                row.p,
-                row.strategy,
-                format_float(row.mean_ar),
-                format_float(row.std_ar),
-                row.graph_count,
-            )
-            for row in aggregate_table(records)
-        ),
-    )
-
-    concentration_rows = []
-    histogram_rows = []
-    zero_rows = []
-    forest_rows = []
+    tables: dict[str, list[tuple]] = {name: [] for name in _REPORT_HEADERS}
     for n, p, rank in sorted(blocks):
         block = blocks[n, p, rank]
-        group = (n, p, STRATEGY_KINDS[rank])
+        kind = STRATEGY_KINDS[rank]
+        group = (n, p, kind)
+        (agg,) = aggregate_table(block)
+        tables["aggregate.csv"].append(
+            (*group, agg.mean_ar, agg.std_ar, agg.graph_count)
+        )
         stats = angle_concentration(block)
-        concentration_rows.append(
+        tables["angle_concentration.csv"].append(
             (
-                *group,
-                stats.total_angles,
-                stats.pi8_multiples,
-                format_float(stats.pi8_fraction),
-                stats.gamma_count,
-                stats.beta_count,
+                *group, stats.total_angles, stats.pi8_multiples, stats.pi8_fraction,
+                stats.gamma_count, stats.beta_count,
             )
         )
-        for left, count in zip(HISTOGRAM_BIN_LEFT_EDGES, stats.histogram):
-            histogram_rows.append((*group, format_float(left), count))
-        zero_rows.append((*group, format_float(max_degree_zero_fraction(block))))
+        tables["angle_histogram.csv"].extend(
+            (*group, left, count)
+            for left, count in zip(HISTOGRAM_BIN_LEFT_EDGES, stats.histogram)
+        )
+        tables["max_degree_zero.csv"].append((*group, max_degree_zero_fraction(block)))
         fractions = [
             forest_check(r.graph(), r.angle_vector()).acyclic_fraction for r in block
         ]
-        forest_rows.append(
-            (*group, format_float(sum(fractions) / len(fractions)), len(block))
+        tables["forest_summary.csv"].append(
+            (*group, sum(fractions) / len(fractions), len(block))
         )
-
-    emit(
-        "angle_concentration.csv",
-        (
-            "n",
-            "p",
-            "strategy",
-            "total_angles",
-            "pi8_multiples",
-            "pi8_fraction",
-            "gamma_count",
-            "beta_count",
-        ),
-        concentration_rows,
-    )
-    emit(
-        "angle_histogram.csv",
-        ("n", "p", "strategy", "bin_left", "count"),
-        histogram_rows,
-    )
-    emit("max_degree_zero.csv", ("n", "p", "strategy", "zero_fraction"), zero_rows)
-    emit(
-        "forest_summary.csv",
-        ("n", "p", "strategy", "mean_acyclic_fraction", "records"),
-        forest_rows,
-    )
-
-    summary_rows = []
-    diff_histogram_rows = []
-    normal = STRATEGY_KINDS.index("normal")
-    for n, p, rank in sorted(blocks):
-        if rank != normal:
+        if kind != "normal":
             continue
         for other_kind in _COMPARISONS:
             other = blocks.get((n, p, STRATEGY_KINDS.index(other_kind)))
             if other is None:
                 continue
-            stats = ar_difference_histogram(blocks[n, p, rank], other)
+            diff = ar_difference_histogram(block, other)
             label = f"normal-{other_kind}"
-            summary_rows.append(
+            tables["ar_difference_summary.csv"].append(
                 (
-                    n,
-                    p,
-                    label,
-                    stats.pairs,
-                    format_float(stats.mean_difference),
-                    format_float(stats.same_ar_fraction),
-                    format_float(stats.other_ge_base_fraction),
+                    n, p, label, diff.pairs, diff.mean_difference,
+                    diff.same_ar_fraction, diff.other_ge_base_fraction,
                 )
             )
-            for left, count in stats.bins:
-                diff_histogram_rows.append((n, p, label, format_float(left), count))
-    if summary_rows:
-        emit(
-            "ar_difference_summary.csv",
-            (
-                "n",
-                "p",
-                "comparison",
-                "pairs",
-                "mean_difference",
-                "same_ar_fraction",
-                "other_ge_base_fraction",
-            ),
-            summary_rows,
-        )
-        emit(
-            "ar_difference_histogram.csv",
-            ("n", "p", "comparison", "bin_left", "count"),
-            diff_histogram_rows,
-        )
+            tables["ar_difference_histogram.csv"].extend(
+                (n, p, label, left, count) for left, count in diff.bins
+            )
+
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written: list[Path] = []
+    # every per-strategy table has a row per group; the comparison tables
+    # have none when no paired strategy ran
+    for name, header in _REPORT_HEADERS.items():
+        if tables[name]:
+            with csv_table(out / name, header) as write:
+                write(tables[name])
+            written.append(out / name)
     return written

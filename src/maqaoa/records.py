@@ -5,7 +5,8 @@ self-contained: they carry the edge list, so every downstream analysis can
 rebuild the graph without a sidecar file.
 
 Every CSV the package writes, records and report tables alike, uses one
-dialect: ASCII, "\\n" line ends, a header row first (see `csv_table`).
+dialect: ASCII, "\\n" line ends, a header row first, floats as `format_float`
+text (see `csv_table`).
 """
 
 from __future__ import annotations
@@ -148,6 +149,7 @@ _values = operator.attrgetter(*CSV_HEADER)
 def csv_table(path, header):
     """Open a CSV in the package dialect and yield `write(rows)`.
 
+    Float cells are written as `format_float` text; other cells as `str`.
     Each `write` reaches the file before it returns, so a stream of blocks
     leaves a readable prefix if the writer is interrupted.
     """
@@ -156,7 +158,10 @@ def csv_table(path, header):
         writer.writerow(header)
 
         def write(rows) -> None:
-            writer.writerows(rows)
+            writer.writerows(
+                [format_float(c) if isinstance(c, float) else c for c in row]
+                for row in rows
+            )
             fh.flush()
 
         yield write

@@ -64,7 +64,12 @@ def init_uniform_random(g: Graph, p: int, seed: int) -> AngleVector:
 
 
 def init_random_pi8(g: Graph, p: int, seed: int) -> AngleVector:
-    """Every angle uniform over the 17 multiples k*pi/8, k in [-8, 8]."""
+    """Every angle uniform over the 17 multiples k*pi/8, k in [-8, 8].
+
+    k = -8 and k = 8 are both pi mod 2*pi, so a normalized start holds -pi
+    with probability 2/17, each other pi/8 multiple in [-pi, pi) with 1/17,
+    and never +pi.
+    """
     rng = np.random.default_rng(seed)
     gamma = rng.integers(-8, 9, size=(p, g.edge_count)) * PI8
     beta = rng.integers(-8, 9, size=(p, g.n)) * PI8

@@ -6,19 +6,22 @@ import numpy as np
 import pytest
 
 from maqaoa import (
+    STRATEGY_KINDS,
     Graph,
     RunConfig,
     derive_seed,
     enumerate_connected,
     load_dataset,
+    normalize_angles,
     read_records,
     report,
+    round_angles,
     run_experiment,
     write_edge_list,
     write_records,
 )
 from maqaoa.cli import main
-from maqaoa.records import CSV_HEADER
+from maqaoa.records import CSV_HEADER, format_float
 
 
 def rows_without_wall_time(records):
@@ -70,9 +73,15 @@ def test_load_dataset_files(tmp_path, path4, triangle):
 
 
 def test_load_dataset_errors():
-    for bad in ("builtin:4", "nocolon", "mystery:x", "random:n=5", "random:n=5,count=2,k=3"):
+    bad = (
+        "builtin:4", "nocolon", "mystery:x", "random:n=5", "random:n=5,count=2,k=3",
+        "random:n=5,count=3,n=4",
+    )
+    for spec in bad:
         with pytest.raises(ValueError):
-            load_dataset(bad, 0)
+            load_dataset(spec, 0)
+    with pytest.raises(ValueError, match="'n' given twice"):
+        load_dataset("random:n=5,count=3,n=4", 0)
     with pytest.raises(FileNotFoundError):
         load_dataset("g6:/nonexistent/file.g6", 0)
 
@@ -112,17 +121,33 @@ def test_run_rejects_isomorphic_dataset_graphs(tmp_path):
     assert not (out / "records.csv").exists()
 
 
-def test_run_counts_and_order():
-    config = RunConfig(dataset="builtin:n4", p_values=(1, 2, 3), seed=1)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_counts_and_order(threads):
+    # p values out of order: records still come in ascending p
+    config = RunConfig(
+        dataset="builtin:n4", p_values=(3, 1, 2), replicates=2, seed=1,
+        threads=threads,
+    )
     records = run_experiment(config)
-    assert len(records) == 6 * 3 * 5
+    assert len(records) == 6 * 3 * 5 * 2
     # graphs in id order, then (p, strategy rank, replicate) inside a graph
-    ids = [r.graph_id for r in records]
-    assert ids == sorted(ids, key=lambda s: ids.index(s))  # block structure
-    blocks = {gid: [r for r in records if r.graph_id == gid] for gid in set(ids)}
-    for block in blocks.values():
-        assert len(block) == 15
-        assert [r.p for r in block] == sorted(r.p for r in block)
+    keys = [
+        (r.graph_id, r.p, STRATEGY_KINDS.index(r.strategy), r.replicate)
+        for r in records
+    ]
+    assert keys == sorted(keys)
+    assert len(set(keys)) == len(keys)
+    # each rounded_no_opt record rounds the normal record of its own
+    # (graph, p, replicate)
+    normal = {
+        (r.graph_id, r.p, r.replicate): r for r in records if r.strategy == "normal"
+    }
+    rounded = [r for r in records if r.strategy == "rounded_no_opt"]
+    assert len(rounded) == len(normal) == 6 * 3 * 2
+    for r in rounded:
+        prior = normal[r.graph_id, r.p, r.replicate]
+        expected = normalize_angles(round_angles(prior.angle_vector())).flatten()
+        assert r.final_angles == tuple(expected)
 
 
 def test_run_is_deterministic_modulo_wall_time():
@@ -306,14 +331,66 @@ def test_report_writes_expected_files(small_run, tmp_path):
         "max_degree_zero.csv",
     ]
     aggregate = (out / "aggregate.csv").read_text().splitlines()
-    assert aggregate[0] == "n,p,strategy,mean_ar,std_ar,graph_count"
     assert len(aggregate) == 1 + 2 * 5  # (p, strategy) groups for n=4
+    headers = {f.name: f.read_text().splitlines()[0] for f in files}
+    assert headers == {
+        "aggregate.csv": "n,p,strategy,mean_ar,std_ar,graph_count",
+        "angle_concentration.csv": "n,p,strategy,total_angles,pi8_multiples,"
+        "pi8_fraction,gamma_count,beta_count",
+        "angle_histogram.csv": "n,p,strategy,bin_left,count",
+        "max_degree_zero.csv": "n,p,strategy,zero_fraction",
+        "forest_summary.csv": "n,p,strategy,mean_acyclic_fraction,records",
+        "ar_difference_summary.csv": "n,p,comparison,pairs,mean_difference,"
+        "same_ar_fraction,other_ge_base_fraction",
+        "ar_difference_histogram.csv": "n,p,comparison,bin_left,count",
+    }
+    # float cells are written as format_float text
+    with open(out / "angle_histogram.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert first["bin_left"] == format_float(-np.pi) == "-3.14159265359"
+    with open(out / "aggregate.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    records = read_records(small_run)
+    ars = [r.final_ar for r in records if (r.p, r.strategy) == (1, "normal")]
+    assert rows[0]["mean_ar"] == format_float(np.mean(ars))
+
+
+def test_report_without_comparisons_writes_per_strategy_files(tmp_path):
+    run = tmp_path / "run"
+    config = RunConfig(
+        dataset="builtin:n3", p_values=(1, 2), strategies=("normal",), seed=8,
+        out_dir=str(run),
+    )
+    run_experiment(config)
+    files = report(run / "records.csv", tmp_path / "report")
+    assert [f.name for f in files] == [
+        "aggregate.csv",
+        "angle_concentration.csv",
+        "angle_histogram.csv",
+        "max_degree_zero.csv",
+        "forest_summary.csv",
+    ]
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == sorted(
+        f.name for f in files
+    )
 
 
 def test_report_is_deterministic(small_run, tmp_path):
     first = {f.name: f.read_bytes() for f in report(small_run, tmp_path / "r1")}
     second = {f.name: f.read_bytes() for f in report(small_run, tmp_path / "r2")}
     assert first == second
+
+
+def test_report_computes_every_table_before_writing(small_run, tmp_path):
+    # a normal record without its rounded_no_opt pair fails the comparison
+    # tables, which come last; no output directory is left behind
+    records = read_records(small_run)
+    dropped = next(r for r in records if r.strategy == "rounded_no_opt")
+    path = tmp_path / "records.csv"
+    write_records([r for r in records if r is not dropped], path)
+    with pytest.raises(ValueError, match="unpaired records"):
+        report(path, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_rejects_empty_records(tmp_path):

@@ -157,6 +157,13 @@ def test_init_random_pi8_uniform_over_17_values():
     assert k.min() >= -8 and k.max() <= 8
     counts = np.bincount(k + 8, minlength=17)
     assert chisquare(counts).pvalue > 0.01
+    # normalized, k = 8 lands on k = -8: 16 classes, -pi at twice the weight
+    m = np.rint(normalize_angle(draws) / PI8).astype(int)
+    assert m.min() == -8 and m.max() == 7
+    weights = np.full(16, 1 / 17)
+    weights[0] = 2 / 17
+    normalized = np.bincount(m + 8, minlength=16)
+    assert chisquare(normalized, weights * draws.size).pvalue > 0.01
 
 
 def test_init_max_degree_zero_star(star4):
