@@ -22,10 +22,10 @@ import numpy as np
 from .errors import CapacityError, GenerationError
 
 MAX_VERTICES = 24
-MAX_ENUM_VERTICES = 6
+MAX_ENUM_VERTICES = 7
 MAX_CANON_VERTICES = 12
 # connected isomorphism classes on 1..MAX_ENUM_VERTICES vertices (OEIS A001349)
-_CONNECTED_CLASSES = (1, 1, 2, 6, 21, 112)
+_CONNECTED_CLASSES = (1, 1, 2, 6, 21, 112, 853)
 
 
 @dataclass(frozen=True)
@@ -83,30 +83,21 @@ def _neighbor_masks(g: Graph) -> list[int]:
     return masks
 
 
-def is_connected(g: Graph) -> bool:
-    """True when every vertex is reachable from vertex 0 (K1 is connected)."""
-    masks = _neighbor_masks(g)
-    # breadth-first search over vertex bitmasks
-    seen = 1
-    frontier = 1
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            reach |= masks[v]
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
-
-
 def _find(parent: list[int], x: int) -> int:
     """Union-find root of x, halving the path on the way."""
     while parent[x] != x:
         parent[x] = parent[parent[x]]
         x = parent[x]
     return x
+
+
+def is_connected(g: Graph) -> bool:
+    """True when every vertex is reachable from vertex 0 (K1 is connected)."""
+    parent = list(range(g.n))
+    for u, v in g.edges:
+        parent[_find(parent, u)] = _find(parent, v)
+    root = _find(parent, 0)
+    return all(_find(parent, v) == root for v in range(g.n))
 
 
 def max_degree_vertices(g: Graph) -> list[int]:
@@ -331,7 +322,7 @@ def enumerate_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
     Grown one vertex at a time from the classes on n-1 vertices, keeping
-    one graph per canonical form; n is capped at 6. Output is deterministic:
+    one graph per canonical form; n is capped at 7. Output is deterministic:
     representatives are canonically relabeled and sorted by (edge count,
     canonical form).
     """

@@ -6,11 +6,11 @@ approximation starts as the identity, is rescaled by s'y / y'y right before
 the first update, and follows the standard two-sided BFGS update afterwards.
 Updates are skipped when the curvature s'y is not safely positive.
 
-The line search brackets then zooms with safeguarded quadratic interpolation
-and a bisection fallback, accepting only points that satisfy both strong
-Wolfe conditions, so every accepted step strictly improves the objective.
-Steps accepted straight from the bracketing phase get one interpolation
-probe, which lands the exact line minimizer on near-quadratic restrictions.
+The line search doubles its step until a bracket has a far end, then zooms
+with safeguarded quadratic interpolation and a bisection fallback, accepting
+only points that satisfy both strong Wolfe conditions, so every accepted step
+strictly improves the objective. Steps accepted before any bracket exists get
+one interpolation probe, which lands the exact minimizer of a near-quadratic.
 """
 
 from __future__ import annotations
@@ -86,29 +86,47 @@ def _line_search(line, phi0, derphi0, alpha1):
     of the search line. Returns (alpha, value, gradient), or None when no
     acceptable step was found within _MAX_LINE_SEARCH_STEPS evaluations,
     which the doubling phase, the zoom and the probe share, or when the
-    zoom's bracket collapses to a single point.
+    bracket collapses to a single point.
+
+    One loop runs both: the doubling phase is the zoom before the bracket
+    has a far end (a_hi is None), stepping to alpha1 and then twice a_lo.
     """
     calls = 0
-    # a_lo holds the lowest value seen that meets the decrease condition
+    # a_lo holds the lowest value seen that meets the decrease condition;
+    # a_hi, once it exists, is the bracket's far end, on either side of a_lo
     a_lo = 0.0
     phi_lo = phi0
     derphi_lo = derphi0
-    alpha = alpha1
-    # Algorithm 3.5: double the step until one is accepted or brackets a point
+    a_hi = phi_hi = None
     while calls < _MAX_LINE_SEARCH_STEPS:
+        if a_hi is None:
+            alpha = 2.0 * a_lo if calls else alpha1
+        else:
+            # the quadratic interpolant's minimizer, or the midpoint when that
+            # is undefined or within a tenth of the width of either end
+            dalpha = a_hi - a_lo
+            if dalpha == 0:
+                return None
+            a, b = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
+            qchk = 0.1 * (b - a)
+            alpha = _quad_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
+            if alpha is None or alpha > b - qchk or alpha < a + qchk:
+                alpha = a_lo + 0.5 * dalpha
         calls += 1
         phi_a, derphi_a, grad_a = line(alpha)
+        # the first step answers to the decrease condition alone: near
+        # convergence its value can round to phi0 and still meet it
         if phi_a > phi0 + _C1 * alpha * derphi0 or (phi_a >= phi_lo and calls > 1):
             a_hi = alpha
             phi_hi = phi_a
-            break
+            continue
         if abs(derphi_a) <= -_C2 * derphi0:
-            # an acceptable step can still be far from the line minimum: one
-            # interpolation probe, if the budget allows, lands the exact
-            # minimizer of a near-quadratic restriction, and is kept only if
-            # it meets both conditions and improves on the accepted value
+            # a step accepted before any bracket can still be far from the
+            # line minimum: one interpolation probe, if the budget allows,
+            # lands the exact minimizer of a near-quadratic restriction, and
+            # is kept only if it meets both conditions and improves on phi_a
             a_q = None
-            if calls < _MAX_LINE_SEARCH_STEPS:
+            if a_hi is None and calls < _MAX_LINE_SEARCH_STEPS:
                 a_q = _quad_min(0.0, phi0, derphi0, alpha, phi_a)
             if (
                 a_q is not None
@@ -123,43 +141,14 @@ def _line_search(line, phi0, derphi0, alpha1):
                 ):
                     return a_q, phi_q, grad_q
             return alpha, phi_a, grad_a
-        # the previous step is the far end of the bracket once the slope
-        # turns upward; otherwise a_hi is not read
-        a_hi = a_lo
-        phi_hi = phi_lo
+        # a_lo becomes the far end once the slope at alpha points back
+        # towards it; before a bracket exists, once the slope turns upward
+        if derphi_a * (1.0 if a_hi is None else a_hi - a_lo) >= 0:
+            a_hi = a_lo
+            phi_hi = phi_lo
         a_lo = alpha
         phi_lo = phi_a
         derphi_lo = derphi_a
-        if derphi_a >= 0:
-            break
-        alpha *= 2.0
-    # Algorithm 3.6: shrink the bracket between a_lo and a_hi (in either
-    # order) to a strong Wolfe point; each step is the quadratic interpolant's
-    # minimizer, or the bracket's midpoint when that is undefined or lies
-    # within a tenth of the bracket's width of either end
-    while calls < _MAX_LINE_SEARCH_STEPS:
-        dalpha = a_hi - a_lo
-        if dalpha == 0:
-            return None
-        a, b = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
-        qchk = 0.1 * (b - a)
-        alpha = _quad_min(a_lo, phi_lo, derphi_lo, a_hi, phi_hi)
-        if alpha is None or alpha > b - qchk or alpha < a + qchk:
-            alpha = a_lo + 0.5 * dalpha
-        calls += 1
-        phi_a, derphi_a, grad_a = line(alpha)
-        if phi_a > phi0 + _C1 * alpha * derphi0 or phi_a >= phi_lo:
-            a_hi = alpha
-            phi_hi = phi_a
-        else:
-            if abs(derphi_a) <= -_C2 * derphi0:
-                return alpha, phi_a, grad_a
-            if derphi_a * (a_hi - a_lo) >= 0:
-                a_hi = a_lo
-                phi_hi = phi_lo
-            a_lo = alpha
-            phi_lo = phi_a
-            derphi_lo = derphi_a
     return None
 
 

@@ -151,9 +151,24 @@ def test_enumerate_connected_matches_edge_subset_scan():
         assert set(found) == expected
 
 
+def test_enumerate_connected_matches_the_networkx_atlas():
+    # networkx's atlas lists every graph on up to 7 vertices, one per class;
+    # the same pass checks is_connected against networkx on all of them
+    import networkx as nx
+    expected = set()
+    for h in nx.graph_atlas_g()[1:]:
+        g = Graph(h.number_of_nodes(), tuple(h.edges()))
+        assert is_connected(g) == nx.is_connected(h)
+        if g.n == 7 and is_connected(g):
+            expected.add(canonical_form(g))
+    graphs = enumerate_connected(7)
+    assert len(graphs) == len(expected) == 853
+    assert {canonical_form(g) for g in graphs} == expected
+
+
 def test_enumerate_connected_capacity():
     with pytest.raises(CapacityError):
-        enumerate_connected(7)
+        enumerate_connected(8)
     with pytest.raises(CapacityError):
         enumerate_connected(0)
 
@@ -279,6 +294,8 @@ def test_random_generation_exhaustion():
         random_nonisomorphic_connected(3, 3, seed=0)
     with pytest.raises(GenerationError):
         random_nonisomorphic_connected(6, 113, seed=0)
+    with pytest.raises(GenerationError):
+        random_nonisomorphic_connected(7, 854, seed=0)
 
 
 def test_random_generation_validation():

@@ -308,6 +308,18 @@ def test_line_search_budget_spent_skips_the_probe():
     assert steps == [2.0 ** k for k in range(50)]
 
 
+def test_line_search_first_step_needs_only_the_decrease_condition():
+    # near convergence c1 * alpha * derphi0 is below half an ulp of phi0, so
+    # a first step whose value equals phi0 meets the decrease condition; it
+    # is accepted, not taken as a bracket's far end, and the probe at 0.5
+    # finds no improvement
+    line, steps = counting_line(lambda a: (1.0, 0.0))
+    found = _line_search(line, 1.0, -1e-20, 1.0)
+    assert found is not None
+    assert found[0] == 1.0
+    assert steps == [1.0, 0.5]
+
+
 def test_quadratic_step_pins_its_degenerate_brackets():
     # (x - 2)^2 from (0, 4) with slope -4 and (1, 1)
     assert _quad_min(0.0, 4.0, -4.0, 1.0, 1.0) == 2.0
