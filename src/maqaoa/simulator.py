@@ -400,20 +400,30 @@ class _Block:
 
 
 @lru_cache(maxsize=256)
-def cut_values(g: Graph) -> np.ndarray:
-    """Cut size of every basis state, as a read-only float array of length 2^n.
-
-    Its first half is the half's cut table; the second mirrors it, since a
-    cut and its complement cut the same edges.
-    """
-    cuts = _mirror(_cost_tables(g).sums())
+def _half_cuts(g: Graph) -> np.ndarray:
+    """The half's cut table, read-only; reversed, it is the other half's."""
+    cuts = _cost_tables(g).sums()
     cuts.flags.writeable = False
     return cuts
 
 
+def cut_values(g: Graph) -> np.ndarray:
+    """Cut size of every basis state, as a new float array of length 2^n.
+
+    Its first half is the half's cut table, the only part cached; the second
+    mirrors it, since a cut and its complement cut the same edges.
+    """
+    half = _half_cuts(g)
+    return np.concatenate((half, half[::-1]))
+
+
 def _check_state(state: np.ndarray) -> int:
-    n = int(state.size).bit_length() - 1
-    if state.ndim != 1 or state.size != 1 << n:
+    if state.size == 0:
+        raise ValueError("state is empty")
+    if state.ndim != 1:
+        raise ValueError(f"state must be 1-D, got shape {state.shape}")
+    n = state.size.bit_length() - 1
+    if state.size != 1 << n:
         raise ValueError(f"state length {state.size} is not a power of two")
     return n
 
@@ -463,26 +473,40 @@ def _forward(
 
 
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
-    """Full circuit: plus state, then per layer all edge phases, all rotations."""
+    """Full circuit: plus state, then per layer all edge phases, all rotations.
+
+    The circuit runs in the first half of the array returned, through the
+    second, which then mirrors the first: a call holds one full state.
+    """
     _check_angles(g, angles)
     # every transform in place in row 0, through row 1
     block, _, _ = _forward(g, angles, 2, 1, 0, 1)
-    return _mirror(block.states[0])
-
-
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """The full 2^n array of a flip-symmetric half: index (x', 1) is the
-    complement of (x', 0)."""
-    return np.concatenate((half, half[::-1]))
+    block.states[1] = block.states[0][::-1]
+    return block.states.reshape(-1)
 
 
 def expectation(g: Graph, state: StateVector) -> float:
-    """Expected cut size of a state: sum of |amplitude|^2 * cut value."""
+    """Expected cut size of a state: sum of |amplitude|^2 * cut value.
+
+    The state need not be flip-symmetric. Above _DOT_SIZE amplitudes it is
+    squared one chunk of _DOT_SIZE at a time, each dotted with its slice of
+    the half cut table, reversed over the upper half, and the dots add in
+    order: no full-size temporary is built.
+    """
     n = _check_state(state)
     if n != g.n:
         raise ValueError(f"state has {n} qubits, graph has {g.n} vertices")
-    probs = state.real ** 2 + state.imag ** 2
-    return float(_dot(np.dot, probs, cut_values(g)))
+    if state.size <= _DOT_SIZE:
+        return float(np.dot(state.real ** 2 + state.imag ** 2, cut_values(g)))
+    half = _half_cuts(g)
+    h = len(half)
+    value = 0
+    # np.dot copies a reversed slice before its BLAS call
+    for start, cuts in ((0, half), (h, half[::-1])):
+        for j in range(0, h, _DOT_SIZE):
+            x = state[start + j:start + j + _DOT_SIZE]
+            value += np.dot(x.real ** 2 + x.imag ** 2, cuts[j:j + _DOT_SIZE])
+    return float(value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,7 +675,7 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     block, cost, mix = _forward(g, angles, 4 * p + 2, 2 * p, spare, bra)
     states = block.states
     kets, bras = states[:2 * p], states[2 * p:4 * p]
-    np.multiply(cut_values(g)[:states.shape[1]], states[spare], out=states[bra])
+    np.multiply(_half_cuts(g), states[spare], out=states[bra])
     value = 2.0 * float(_dot(np.vdot, states[spare], states[bra]).real)
     # conjugated, the factors undo their layers
     np.conjugate(cost, out=cost)

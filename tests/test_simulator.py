@@ -304,6 +304,16 @@ def test_expectation_matches_naive_and_dense(four_vertex_graphs):
         assert 0.0 <= value <= g.edge_count
 
 
+@pytest.mark.parametrize("state, message", [
+    (np.zeros(0, dtype=complex), "state is empty"),
+    (np.zeros((2, 2), dtype=complex), r"state must be 1-D, got shape \(2, 2\)"),
+    (np.zeros(6, dtype=complex), "state length 6 is not a power of two"),
+], ids=["empty", "2-D", "length-6"])
+def test_expectation_names_each_malformed_state(triangle, state, message):
+    with pytest.raises(ValueError, match=message):
+        expectation(triangle, state)
+
+
 # ----- gradients -----
 
 def test_gradient_beta_zero_at_zero_angles(four_vertex_graphs):
@@ -413,11 +423,37 @@ def _gate_by_gate(g: Graph, angles: AngleVector) -> np.ndarray:
 
 @pytest.mark.parametrize("g", SPLIT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_cut_values_match_per_edge_xor_count(g):
+    np.testing.assert_array_equal(cut_values(g), _xor_cuts(g))
+
+
+def _xor_cuts(g: Graph) -> np.ndarray:
+    """Each basis state's count of edges whose endpoint bits differ."""
     index = np.arange(1 << g.n)
-    naive = np.zeros(1 << g.n)
+    cuts = np.zeros(1 << g.n)
     for u, v in g.edges:
-        naive += ((index >> u) ^ (index >> v)) & 1
-    np.testing.assert_array_equal(cut_values(g), naive)
+        cuts += ((index >> u) ^ (index >> v)) & 1
+    return cuts
+
+
+@pytest.mark.parametrize("g", [
+    Graph(1, ()), Graph(2, ((0, 1),)), *(_split_graph(n) for n in (13, 14, 15, 16))
+], ids=lambda g: f"n{g.n}")
+def test_expectation_of_states_that_are_not_flip_symmetric(g):
+    """At 1, 2 and 13 qubits a state has at most _DOT_SIZE amplitudes and
+    expectation takes one dot with cut_values; at 14 to 16 it takes chunks
+    of _DOT_SIZE, reading the upper half of the cut table reversed from the
+    half."""
+    cuts = _xor_cuts(g)
+    rng = np.random.default_rng(25)
+    for _ in range(2):
+        state = rng.normal(size=1 << g.n) + 1j * rng.normal(size=1 << g.n)
+        reference = np.abs(state) ** 2 @ cuts
+        assert abs(expectation(g, state) - reference) <= 1e-12 * max(1.0, reference)
+    h = 1 << g.n - 1
+    for x in {x % (2 * h) for x in (0, 1, h - 1, h, h + 1, 2 * h - 1, *rng.integers(2 * h, size=4))}:
+        basis = np.zeros(1 << g.n, dtype=complex)
+        basis[x] = 1.0
+        assert expectation(g, basis) == cuts[x]
 
 
 @pytest.mark.parametrize("g", SPLIT_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
@@ -622,9 +658,7 @@ def test_one_call_holds_4p_plus_2_states():
     angles = random_angles(g, p, seed=20)
     expectation_and_gradient(g, angles)  # fill the per-graph caches
     state = 16 << (g.n - 1)  # a half state
-    tables = 16 * p * sum(
-        len(t.low) * (1 + len(t.groups)) + len(t.high) for t in (_cost_tables(g), _spin_tables(g.n))
-    )
+    tables = _factor_table_bytes(g, p)
     buffer = 16 * min(1 << (g.n - 1), np.getbufsize())
     tracemalloc.start()
     try:
@@ -633,6 +667,47 @@ def test_one_call_holds_4p_plus_2_states():
     finally:
         tracemalloc.stop()
     assert peak <= (4 * p + 2) * state + tables + buffer + (16 << 10)
+
+
+def _factor_table_bytes(g: Graph, p: int) -> int:
+    """The cost and mixer phase-factor tables of p layers (_CostTables.factors)."""
+    return 16 * p * sum(
+        len(t.low) * (1 + len(t.groups)) + len(t.high) for t in (_cost_tables(g), _spin_tables(g.n))
+    )
+
+
+def test_run_circuit_holds_one_state():
+    """The tracemalloc peak of one run_circuit call at n = 16: the full state
+    it returns, in whose halves the circuit runs, the phase-factor tables
+    and one numpy iterator buffer."""
+    g = _split_graph(16)
+    p = 3
+    angles = random_angles(g, p, seed=26)
+    run_circuit(g, angles)  # fill the per-graph caches
+    buffer = 16 * min(1 << (g.n - 1), np.getbufsize())
+    tracemalloc.start()
+    try:
+        state = run_circuit(g, angles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= state.nbytes + _factor_table_bytes(g, p) + buffer + (16 << 10)
+
+
+def test_expectation_adds_only_chunk_temporaries():
+    """On a held n = 16 state, expectation allocates per _DOT_SIZE chunk: two
+    squares, their sum, and np.dot's copy of a reversed slice of the half
+    cut table."""
+    g = _split_graph(16)
+    state = run_circuit(g, random_angles(g, 2, seed=27))
+    expectation(g, state)  # fill the per-graph caches
+    tracemalloc.start()
+    try:
+        expectation(g, state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 8 * _DOT_SIZE + (16 << 10)
 
 
 # ----- the closed form at one layer -----
