@@ -23,7 +23,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--dataset",
         required=True,
-        help="builtin:n4 | g6:PATH | edges:PATH | random:n=9,count=50[,seed=S]",
+        help="builtin:nK (K <= 8) | g6:PATH | edges:PATH | random:n=9,count=50[,seed=S]",
     )
     run_parser.add_argument(
         "--p", default="1", help="comma-separated layer counts, e.g. 1,2,3"

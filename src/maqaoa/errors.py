@@ -2,7 +2,7 @@
 
 
 class CapacityError(ValueError):
-    """An input exceeds a hard size bound (qubit count, enumeration size)."""
+    """An input exceeds a hard size bound (qubit count, graph catalog size)."""
 
 
 class GenerationError(RuntimeError):

@@ -1,9 +1,9 @@
 """Undirected simple graphs for MaxCut experiments.
 
 Provides the graph value type plus the supporting machinery the benchmark
-needs: brute-force MaxCut, exhaustive enumeration of small connected graphs,
-seeded random generation of non-isomorphic connected graphs, canonical
-labeling, and graph6 / edge-list file I/O.
+needs: brute-force MaxCut, a catalog of every connected graph on up to eight
+vertices, seeded random generation of non-isomorphic connected graphs,
+canonical labeling, and graph6 / edge-list file I/O.
 
 Vertices are always 0..n-1. Edges are stored as sorted (u, v) pairs with
 u < v, and the edge list itself is sorted, so two equal graphs compare equal.
@@ -16,16 +16,19 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 
 from .errors import CapacityError, GenerationError
 
 MAX_VERTICES = 24
-MAX_ENUM_VERTICES = 7
+MAX_ENUM_VERTICES = 8
 MAX_CANON_VERTICES = 12
-# connected isomorphism classes on 1..MAX_ENUM_VERTICES vertices (OEIS A001349)
-_CONNECTED_CLASSES = (1, 1, 2, 6, 21, 112, 853)
+# connected isomorphism classes on 1..MAX_CANON_VERTICES vertices, OEIS A001349
+_CONNECTED_CLASSES = (
+    1, 1, 2, 6, 21, 112, 853, 11117, 261080, 11716571, 1006700565, 164059830476,
+)
 
 
 @dataclass(frozen=True)
@@ -296,41 +299,27 @@ def canonical_relabel(g: Graph) -> Graph:
     return Graph(g.n, edges)
 
 
-# ===== enumeration and random generation =====
+# ===== catalog and random generation =====
 
 
-@lru_cache(maxsize=8)
-def _enumerate_connected(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph(1),)
-    # every connected graph on n > 1 vertices has a vertex whose removal leaves
-    # it connected (a leaf of a spanning tree), so attaching vertex n-1 to
-    # each class on n-1 vertices by every nonempty neighbour set reaches every
-    # class; the new vertex always has a neighbour, so each candidate is
-    # connected
-    representatives: dict[bytes, Graph] = {}
-    for base in _enumerate_connected(n - 1):
-        for mask in range(1, 1 << (n - 1)):
-            attach = tuple((v, n - 1) for v in range(n - 1) if (mask >> v) & 1)
-            g = Graph(n, base.edges + attach)
-            representatives.setdefault(canonical_form(g), g)
-    ordered = sorted(representatives.items(), key=lambda kv: (kv[1].edge_count, kv[0]))
-    return tuple(canonical_relabel(g) for _, g in ordered)
+@lru_cache(maxsize=None)
+def _catalog(n: int) -> tuple[Graph, ...]:
+    path = resources.files(__package__) / "catalog" / f"connected{n}.g6"
+    return tuple(parse_graph6(line) for line in path.read_text("ascii").splitlines())
 
 
 def enumerate_connected(n: int) -> list[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
-    Grown one vertex at a time from the classes on n-1 vertices, keeping
-    one graph per canonical form; n is capped at 7. Output is deterministic:
-    representatives are canonically relabeled and sorted by (edge count,
-    canonical form).
+    Read from the package's graph6 catalog, one file per n <= 8 (11,117
+    graphs at n = 8). Representatives are canonically relabeled and sorted
+    by (edge count, canonical form).
     """
     if not 1 <= n <= MAX_ENUM_VERTICES:
         raise CapacityError(
-            f"enumeration supports 1 <= n <= {MAX_ENUM_VERTICES}, got {n}"
+            f"the connected-graph catalog covers 1 <= n <= {MAX_ENUM_VERTICES}, got {n}"
         )
-    return list(_enumerate_connected(n))
+    return list(_catalog(n))
 
 
 def random_nonisomorphic_connected(n: int, count: int, seed: int) -> list[Graph]:
@@ -347,13 +336,12 @@ def random_nonisomorphic_connected(n: int, count: int, seed: int) -> list[Graph]
         )
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if n <= MAX_ENUM_VERTICES:
-        available = _CONNECTED_CLASSES[n - 1]
-        if count > available:
-            raise GenerationError(
-                f"only {available} connected isomorphism classes exist on "
-                f"{n} vertices, cannot produce {count}"
-            )
+    available = _CONNECTED_CLASSES[n - 1]
+    if count > available:
+        raise GenerationError(
+            f"only {available} connected isomorphism classes exist on "
+            f"{n} vertices, cannot produce {count}"
+        )
     rng = random.Random(seed)
     pairs = list(itertools.combinations(range(n), 2))
     found: list[Graph] = []

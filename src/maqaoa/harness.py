@@ -104,7 +104,7 @@ def derive_seed(master: int, graph_id: str, kind: str, p: int, replicate: int) -
 def load_dataset(spec: str, master_seed: int) -> list[Graph]:
     """Resolve a dataset spec string to a list of graphs.
 
-    Supported forms: builtin:nK for the connected K-vertex catalog (K <= 7),
+    Supported forms: builtin:nK for the connected K-vertex catalog (K <= 8),
     g6:PATH for a graph6 file, edges:PATH for an edge-list file, and
     random:n=9,count=50[,seed=S] for seeded random non-isomorphic connected
     graphs (seed defaults to a value derived from the master seed; a key

@@ -21,7 +21,12 @@ from maqaoa import (
     read_graph6,
     write_edge_list,
 )
-from maqaoa.graphs import MAX_VERTICES, max_degree_incidence
+from maqaoa.graphs import (
+    _CONNECTED_CLASSES,
+    MAX_ENUM_VERTICES,
+    MAX_VERTICES,
+    max_degree_incidence,
+)
 from oracles import brute_canonical, naive_max_cut
 
 
@@ -120,20 +125,27 @@ def test_max_cut_at_the_vertex_cap():
     assert peak < 8 * 2**20
 
 
-# ----- enumeration -----
+# ----- the connected-graph catalog -----
 
 def test_enumerate_connected_counts():
-    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
-    for n, count in expected.items():
-        assert len(enumerate_connected(n)) == count
+    # OEIS A001349: the connected isomorphism classes on n vertices
+    assert _CONNECTED_CLASSES[:MAX_ENUM_VERTICES] == (1, 1, 2, 6, 21, 112, 853, 11117)
+    for n in range(1, MAX_ENUM_VERTICES + 1):
+        assert len(enumerate_connected(n)) == _CONNECTED_CLASSES[n - 1]
 
 
 def test_enumerate_connected_all_connected_and_distinct():
-    for n in range(1, 7):
+    # with the counts above these prove each catalog file complete: every
+    # graph is connected, no two are isomorphic, and each is stored
+    # canonically relabeled, in (edge count, canonical form) order
+    for n in range(1, MAX_ENUM_VERTICES + 1):
         graphs = enumerate_connected(n)
         assert all(is_connected(g) for g in graphs)
         forms = [canonical_form(g) for g in graphs]
         assert len(set(forms)) == len(forms)
+        assert all(canonical_relabel(g) == g for g in graphs)
+        keys = [(g.edge_count, form) for g, form in zip(graphs, forms)]
+        assert keys == sorted(keys)
 
 
 def test_enumerate_connected_matches_edge_subset_scan():
@@ -168,7 +180,7 @@ def test_enumerate_connected_matches_the_networkx_atlas():
 
 def test_enumerate_connected_capacity():
     with pytest.raises(CapacityError):
-        enumerate_connected(8)
+        enumerate_connected(9)
     with pytest.raises(CapacityError):
         enumerate_connected(0)
 
@@ -296,6 +308,10 @@ def test_random_generation_exhaustion():
         random_nonisomorphic_connected(6, 113, seed=0)
     with pytest.raises(GenerationError):
         random_nonisomorphic_connected(7, 854, seed=0)
+    # refused before the first draw, by the class count; drawing would run to
+    # the attempt cap of about 2.2 million candidates before giving up
+    with pytest.raises(GenerationError, match="only 11117"):
+        random_nonisomorphic_connected(8, 11118, seed=0)
 
 
 def test_random_generation_validation():

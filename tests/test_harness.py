@@ -50,6 +50,9 @@ def test_derive_seed_is_stable_and_spread():
 def test_load_dataset_builtin():
     graphs = load_dataset("builtin:n4", 0)
     assert graphs == enumerate_connected(4)
+    # the paper's dataset: every connected 8-vertex graph
+    graphs = load_dataset("builtin:n8", 0)
+    assert len(graphs) == 11117 and all(g.n == 8 for g in graphs)
 
 
 def test_load_dataset_random_reproducible():
