@@ -1,12 +1,10 @@
 """Multi-angle QAOA MaxCut simulator and angle-heuristic benchmark."""
 
 from .analysis import (
-    AggregateRow,
     AngleStats,
     ArDifferenceStats,
     ForestClass,
     ForestReport,
-    aggregate_table,
     angle_concentration,
     ar_difference_histogram,
     forest_check,

@@ -1,4 +1,4 @@
-"""Statistics over experiment records: angle structure and AR comparisons."""
+"""Statistics of final angles and approximation ratios, as `report` tabulates them."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _find, max_degree_incidence
-from .records import STRATEGY_KINDS, ExperimentRecord
 from .simulator import AngleVector
 from .strategies import PI8, PI8_TOLERANCE, normalize_angle, normalize_angles, pi8_multiples
 
@@ -43,16 +42,6 @@ class ArDifferenceStats:
 
 
 @dataclass(frozen=True)
-class AggregateRow:
-    n: int
-    p: int
-    strategy: str
-    mean_ar: float
-    std_ar: float
-    graph_count: int
-
-
-@dataclass(frozen=True)
 class ForestClass:
     layer: int
     gamma: float
@@ -66,38 +55,33 @@ class ForestReport:
     acyclic_fraction: float
 
 
-def _require_records(records) -> list[ExperimentRecord]:
-    records = list(records)
-    if not records:
-        raise ValueError("empty record set")
-    return records
+def _require_nonempty(items) -> list:
+    items = list(items)
+    if not items:
+        raise ValueError("empty input")
+    return items
 
 
-def angle_concentration(records) -> AngleStats:
-    """How strongly final angles cluster on multiples of pi/8.
+def angle_concentration(angle_vectors) -> AngleStats:
+    """How strongly angles cluster on multiples of pi/8.
 
-    Counts every stored angle (normalized to [-pi, pi)) across all records,
+    Counts every angle (normalized to [-pi, pi)) across all angle vectors,
     and bins them into 16 pi/8-wide histogram bins.
     """
-    records = _require_records(records)
+    angle_vectors = _require_nonempty(angle_vectors)
     counts = np.zeros(HISTOGRAM_BINS, dtype=np.int64)
-    total = 0
     multiples = 0
-    gamma_count = 0
-    beta_count = 0
-    for record in records:
-        angles = record.angle_vector()
-        gamma_count += angles.gamma.size
-        beta_count += angles.beta.size
+    for angles in angle_vectors:
         flat = normalize_angles(angles).flatten()
-        total += flat.size
         multiples += int(pi8_multiples(flat).sum())
         bins = np.clip(
             np.floor((flat + np.pi) / PI8).astype(np.int64), 0, HISTOGRAM_BINS - 1
         )
         counts += np.bincount(bins, minlength=HISTOGRAM_BINS)
+    gamma_count = sum(angles.gamma.size for angles in angle_vectors)
+    beta_count = sum(angles.beta.size for angles in angle_vectors)
     return AngleStats(
-        total_angles=total,
+        total_angles=gamma_count + beta_count,
         pi8_multiples=multiples,
         gamma_count=gamma_count,
         beta_count=beta_count,
@@ -105,19 +89,19 @@ def angle_concentration(records) -> AngleStats:
     )
 
 
-def max_degree_zero_fraction(records) -> float:
+def max_degree_zero_fraction(graphs, angle_vectors) -> float:
     """Fraction of angles at maximum-degree vertices that are (near) zero.
 
-    For every record, every maximum-degree vertex v, and every layer, the
+    For every (graph, angles) pair, maximum-degree vertex v and layer, the
     considered angles are beta_v plus the gamma of each edge incident to v.
     An edge joining two maximum-degree vertices is counted once per endpoint.
     """
-    records = _require_records(records)
+    pairs = _require_nonempty(zip(graphs, angle_vectors, strict=True))
     near = 0
     total = 0
-    for record in records:
-        hits, top = max_degree_incidence(record.graph())
-        angles = normalize_angles(record.angle_vector())
+    for g, angles in pairs:
+        hits, top = max_degree_incidence(g)
+        angles = normalize_angles(angles)
         near += int((np.abs(angles.beta[:, top]) < PI8_TOLERANCE).sum())
         near += int((hits * (np.abs(angles.gamma) < PI8_TOLERANCE)).sum())
         total += angles.p * int(top.sum() + hits.sum())
@@ -131,8 +115,8 @@ def ar_difference_histogram(base_records, other_records) -> ArDifferenceStats:
     exactly the same keys. Bin k covers [k*w, (k+1)*w) for the width w of
     AR_DIFFERENCE_BIN_WIDTH.
     """
-    base_records = _require_records(base_records)
-    other_records = _require_records(other_records)
+    base_records = _require_nonempty(base_records)
+    other_records = _require_nonempty(other_records)
 
     def index(records, label):
         table = {}
@@ -164,37 +148,6 @@ def ar_difference_histogram(base_records, other_records) -> ArDifferenceStats:
         other_ge_base_fraction=float((diffs <= 0).mean()),
         bins=bins,
     )
-
-
-def report_key(record: ExperimentRecord) -> tuple[int, int, int]:
-    """(n, p, strategy rank): the row order of every per-strategy table."""
-    if record.strategy not in STRATEGY_KINDS:
-        raise ValueError(f"unknown strategy {record.strategy!r}")
-    return (record.n, record.p, STRATEGY_KINDS.index(record.strategy))
-
-
-def aggregate_table(records) -> list[AggregateRow]:
-    """Mean and population std of final AR, grouped by (n, p, strategy)."""
-    records = _require_records(records)
-    groups: dict[tuple[int, int, int], list[ExperimentRecord]] = {}
-    for r in records:
-        groups.setdefault(report_key(r), []).append(r)
-
-    rows = []
-    for key in sorted(groups):
-        n, p, rank = key
-        ars = np.array([r.final_ar for r in groups[key]], dtype=np.float64)
-        rows.append(
-            AggregateRow(
-                n=n,
-                p=p,
-                strategy=STRATEGY_KINDS[rank],
-                mean_ar=float(ars.mean()),
-                std_ar=float(ars.std()),
-                graph_count=len({r.graph_id for r in groups[key]}),
-            )
-        )
-    return rows
 
 
 def forest_check(g: Graph, angles: AngleVector) -> ForestReport:

@@ -17,13 +17,13 @@ import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import (
-    aggregate_table,
     angle_concentration,
     ar_difference_histogram,
     forest_check,
     max_degree_zero_fraction,
-    report_key,
     HISTOGRAM_BIN_LEFT_EDGES,
 )
 from .graphs import (
@@ -210,18 +210,23 @@ def report(records_path, out_dir) -> list[Path]:
         if cell in cells:
             raise ValueError(f"{records_path}: cell {cell} appears twice")
         cells.add(cell)
-        blocks.setdefault(report_key(record), []).append(record)
+        rank = STRATEGY_KINDS.index(record.strategy)
+        blocks.setdefault((record.n, record.p, rank), []).append(record)
 
     tables: dict[str, list[tuple]] = {name: [] for name in _REPORT_HEADERS}
     for n, p, rank in sorted(blocks):
         block = blocks[n, p, rank]
         kind = STRATEGY_KINDS[rank]
         group = (n, p, kind)
-        (agg,) = aggregate_table(block)
+        # each record decoded once, for every statistic of its group
+        graphs = [r.graph() for r in block]
+        angles = [r.angle_vector() for r in block]
+        ars = np.array([r.final_ar for r in block], dtype=np.float64)
+        graph_count = len({r.graph_id for r in block})
         tables["aggregate.csv"].append(
-            (*group, agg.mean_ar, agg.std_ar, agg.graph_count)
+            (*group, float(ars.mean()), float(ars.std()), graph_count)
         )
-        stats = angle_concentration(block)
+        stats = angle_concentration(angles)
         tables["angle_concentration.csv"].append(
             (
                 *group, stats.total_angles, stats.pi8_multiples, stats.pi8_fraction,
@@ -232,10 +237,9 @@ def report(records_path, out_dir) -> list[Path]:
             (*group, left, count)
             for left, count in zip(HISTOGRAM_BIN_LEFT_EDGES, stats.histogram)
         )
-        tables["max_degree_zero.csv"].append((*group, max_degree_zero_fraction(block)))
-        fractions = [
-            forest_check(r.graph(), r.angle_vector()).acyclic_fraction for r in block
-        ]
+        zero_fraction = max_degree_zero_fraction(graphs, angles)
+        tables["max_degree_zero.csv"].append((*group, zero_fraction))
+        fractions = [forest_check(g, a).acyclic_fraction for g, a in zip(graphs, angles)]
         tables["forest_summary.csv"].append(
             (*group, sum(fractions) / len(fractions), len(block))
         )

@@ -59,6 +59,10 @@ _WHT_BITS = 6
 _PRODUCT_SIZE = 1 << 18
 _DOT_SIZE = 1 << 13
 
+# graphs whose cost and half cut tables stay cached: the harness runs a graph's
+# cells back to back; one graph's tables take about 1.4 MB at n = 18, 16x at 22
+_GRAPH_CACHE_SIZE = 8
+
 #: A statevector is a bare 1-D complex128 array of length 2^n.
 StateVector = np.ndarray
 
@@ -249,7 +253,7 @@ def _bits(n: int) -> tuple[np.ndarray, np.ndarray]:
     return z_low, z_high
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _cost_tables(g: Graph) -> _CostTables:
     """The cut diagonal on the half: vertex n - 1's bit is 0, so an edge
     (u, n - 1) is cut where z_u is 1."""
@@ -399,7 +403,7 @@ class _Block:
             self.states[dst] = self.states[src]
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _half_cuts(g: Graph) -> np.ndarray:
     """The half's cut table, read-only; reversed, it is the other half's."""
     cuts = _cost_tables(g).sums()

@@ -39,10 +39,10 @@ def round_to_pi8(values) -> np.ndarray:
     return steps * PI8
 
 
-def pi8_multiples(values, tolerance: float = PI8_TOLERANCE) -> np.ndarray:
-    """Elementwise: is the normalized angle within tolerance of a pi/8 multiple?"""
+def pi8_multiples(values) -> np.ndarray:
+    """Elementwise: is the normalized angle within PI8_TOLERANCE of a pi/8 multiple?"""
     t = normalize_angle(values)
-    return np.abs(t - round_to_pi8(t)) < tolerance
+    return np.abs(t - round_to_pi8(t)) < PI8_TOLERANCE
 
 
 def normalize_angles(angles: AngleVector) -> AngleVector:

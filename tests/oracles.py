@@ -240,18 +240,18 @@ def brute_canonical(g: Graph) -> tuple:
     return (g.n, best)
 
 
-def naive_max_degree_zero_fraction(records) -> float:
+def naive_max_degree_zero_fraction(graphs, angle_vectors) -> float:
     """Share of the angles at maximum-degree vertices within PI8_TOLERANCE of 0.
 
-    For every record, every maximum-degree vertex v, and every layer, the
-    considered angles are beta_v plus the gamma of each edge incident to v,
-    so an edge joining two maximum-degree vertices counts once per endpoint.
+    For every (graph, angles) pair, every maximum-degree vertex v, and every
+    layer, the considered angles are beta_v plus the gamma of each edge
+    incident to v, so an edge joining two maximum-degree vertices counts once
+    per endpoint.
     """
     near = 0
     total = 0
-    for record in records:
-        g = record.graph()
-        angles = normalize_angles(record.angle_vector())
+    for g, angles in zip(graphs, angle_vectors):
+        angles = normalize_angles(angles)
         gamma = np.abs(angles.gamma)
         beta = np.abs(angles.beta)
         for v in max_degree_vertices(g):

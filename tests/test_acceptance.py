@@ -167,8 +167,8 @@ def test_criterion_6_eight_vertex_max_degree_zero_parity(eight_vertex_run):
 def test_criterion_7_pi8_angle_concentration(four_vertex_run, eight_vertex_run):
     small = [r for r in four_vertex_run[0] if r.strategy == "normal" and r.p == 1]
     large = [r for r in eight_vertex_run[0] if r.strategy == "normal" and r.p == 1]
-    small_fraction = angle_concentration(small).pi8_fraction
-    large_fraction = angle_concentration(large).pi8_fraction
+    small_fraction = angle_concentration(r.angle_vector() for r in small).pi8_fraction
+    large_fraction = angle_concentration(r.angle_vector() for r in large).pi8_fraction
     print(
         f"criterion 7: pi/8 fraction n4={small_fraction:.3f} n8={large_fraction:.3f}"
     )

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -9,15 +10,16 @@ from maqaoa import (
     Graph,
     PI8,
     PI8_TOLERANCE,
-    aggregate_table,
     angle_concentration,
     ar_difference_histogram,
     enumerate_connected,
     forest_check,
     init_random_pi8,
     max_degree_zero_fraction,
-    pi8_multiples,
+    report,
+    round_to_pi8,
     run_strategy,
+    write_records,
 )
 from maqaoa.analysis import HISTOGRAM_BINS, HISTOGRAM_BIN_LEFT_EDGES
 from maqaoa.graphs import max_degree_incidence
@@ -55,19 +57,17 @@ def test_histogram_bin_edges():
     )
 
 
-def test_angle_concentration_all_multiples(k2):
-    record = make_record(k2, [math.pi / 4, math.pi / 4, math.pi / 4])
-    stats = angle_concentration([record])
+def test_angle_concentration_all_multiples():
+    stats = angle_concentration([AngleVector([[math.pi / 4]], [[math.pi / 4] * 2])])
     assert stats.total_angles == 3
     assert stats.pi8_multiples == 3
     assert stats.pi8_fraction == 1.0
     assert sum(stats.histogram) == 3
 
 
-def test_angle_concentration_two_of_three(k2):
+def test_angle_concentration_two_of_three():
     # gamma = pi/8, betas = 0.5 and -pi: exactly two pi/8 multiples
-    record = make_record(k2, [PI8, 0.5, -math.pi])
-    stats = angle_concentration([record])
+    stats = angle_concentration([AngleVector([[PI8]], [[0.5, -math.pi]])])
     assert stats.total_angles == 3
     assert stats.pi8_multiples == 2
     assert abs(stats.pi8_fraction - 2 / 3) < 1e-12
@@ -77,9 +77,9 @@ def test_angle_concentration_two_of_three(k2):
 
 def test_angle_concentration_on_pi8_init_is_total(path4):
     angles = init_random_pi8(path4, 2, seed=1)
-    record = make_record(path4, angles.flatten(), p=2)
-    assert pi8_multiples(angles.flatten(), tolerance=1e-12).all()
-    stats = angle_concentration([record])
+    flat = angles.flatten()
+    np.testing.assert_allclose(flat, round_to_pi8(flat), rtol=0, atol=1e-12)
+    stats = angle_concentration([angles])
     assert stats.pi8_multiples == stats.total_angles == 14
 
 
@@ -88,10 +88,9 @@ def test_angle_concentration_rejects_empty():
         angle_concentration([])
 
 
-def test_angle_concentration_histogram_placement(k2):
+def test_angle_concentration_histogram_placement():
     # -pi lands in bin 0, 0 in bin 8, just-below-pi in bin 15
-    record = make_record(k2, [-math.pi, 0.0, math.pi - 1e-9])
-    stats = angle_concentration([record])
+    stats = angle_concentration([AngleVector([[-math.pi]], [[0.0, math.pi - 1e-9]])])
     assert stats.histogram[0] == 1
     assert stats.histogram[8] == 1
     assert stats.histogram[15] == 1
@@ -103,7 +102,7 @@ def test_max_degree_zero_fraction_by_construction(star4):
     for g in [star4, *enumerate_connected(5)]:
         for p in (1, 2):
             record = run_strategy(g, "max_degree_zero_no_opt", p, 2)
-            assert max_degree_zero_fraction([record]) == 1.0
+            assert max_degree_zero_fraction([g], [record.angle_vector()]) == 1.0
 
 
 def test_max_degree_zero_fraction_matches_per_vertex_reference():
@@ -112,7 +111,7 @@ def test_max_degree_zero_fraction_matches_per_vertex_reference():
     # some graphs join two maximum-degree vertices by an edge, K5 among them
     assert sum(int((max_degree_incidence(g)[0] == 2).any()) for g in graphs) > 1
     rng = np.random.default_rng(21)
-    records = []
+    pairs = []
     for g in graphs:
         for p in (1, 2):
             angles = rng.uniform(-math.pi, math.pi, p * (g.edge_count + g.n))
@@ -120,32 +119,39 @@ def test_max_degree_zero_fraction_matches_per_vertex_reference():
             near = rng.random(angles.size) < 0.5
             angles[near] = rng.uniform(-2, 2, near.sum()) * PI8_TOLERANCE
             angles[near] += 2 * math.pi * rng.integers(-1, 2, near.sum())
-            records.append(make_record(g, angles, p=p))
-    for record in records:
-        expected = naive_max_degree_zero_fraction([record])
-        assert max_degree_zero_fraction([record]) == expected
-    expected = naive_max_degree_zero_fraction(records)
+            pairs.append((g, AngleVector.unflatten(angles, p, g.edge_count, g.n)))
+    for g, angles in pairs:
+        expected = naive_max_degree_zero_fraction([g], [angles])
+        assert max_degree_zero_fraction([g], [angles]) == expected
+    graph_list, angle_list = zip(*pairs)
+    expected = naive_max_degree_zero_fraction(graph_list, angle_list)
     assert 0.0 < expected < 1.0
-    assert max_degree_zero_fraction(records) == expected
+    assert max_degree_zero_fraction(graph_list, angle_list) == expected
 
 
 def test_max_degree_zero_fraction_all_quarter_pi(k4):
-    angles = np.full(2 * (6 + 4), math.pi / 4)
-    record = make_record(k4, angles, p=2)
-    assert max_degree_zero_fraction([record]) == 0.0
+    angles = AngleVector(np.full((2, 6), math.pi / 4), np.full((2, 4), math.pi / 4))
+    assert max_degree_zero_fraction([k4], [angles]) == 0.0
 
 
 def test_max_degree_zero_fraction_k4_zero_angles(k4):
-    record = make_record(k4, np.zeros(6 + 4))
-    assert max_degree_zero_fraction([record]) == 1.0
+    angles = AngleVector(np.zeros((1, 6)), np.zeros((1, 4)))
+    assert max_degree_zero_fraction([k4], [angles]) == 1.0
+
+
+def test_max_degree_zero_fraction_rejects_empty_and_unpaired(k4):
+    angles = AngleVector(np.zeros((1, 6)), np.zeros((1, 4)))
+    with pytest.raises(ValueError):
+        max_degree_zero_fraction([], [])
+    with pytest.raises(ValueError):
+        max_degree_zero_fraction([k4, k4], [angles])
 
 
 def test_max_degree_zero_fraction_counts_only_top_vertices(star4):
     # center beta zero and all gammas zero, leaves nonzero: leaves are not
     # max degree, so the fraction only sees the zeroed angles
     angles = AngleVector([[0.0, 0.0, 0.0]], [[0.0, 0.5, 0.5, 0.5]])
-    record = make_record(star4, angles.flatten())
-    assert max_degree_zero_fraction([record]) == 1.0
+    assert max_degree_zero_fraction([star4], [angles]) == 1.0
 
 
 # ----- AR difference histogram -----
@@ -190,49 +196,58 @@ def test_ar_difference_unpaired_keys_rejected(k2, triangle):
         ar_difference_histogram(base, other)
 
 
-# ----- aggregate table -----
+# ----- aggregate table, as `report` writes it -----
 
-def test_aggregate_single_record(k2):
-    rows = aggregate_table([make_record(k2, [0.0] * 3, final_ar=0.9)])
-    assert len(rows) == 1
-    row = rows[0]
-    assert (row.n, row.p, row.strategy) == (2, 1, "normal")
-    assert row.mean_ar == 0.9
-    assert row.std_ar == 0.0
-    assert row.graph_count == 1
+def aggregate_rows(records, tmp_path) -> list[dict[str, str]]:
+    tmp_path.mkdir(exist_ok=True)
+    write_records(records, tmp_path / "records.csv")
+    report(tmp_path / "records.csv", tmp_path / "report")
+    with open(tmp_path / "report" / "aggregate.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_aggregate_population_std(k2, triangle):
+def test_aggregate_single_record(k2, tmp_path):
+    rows = aggregate_rows([make_record(k2, [0.0] * 3, final_ar=0.9)], tmp_path)
+    assert rows == [
+        {"n": "2", "p": "1", "strategy": "normal", "mean_ar": "0.9", "std_ar": "0",
+         "graph_count": "1"},
+    ]
+
+
+def test_aggregate_population_std(k2, triangle, tmp_path):
     records = [
         make_record(k2, [0.0] * 3, final_ar=0.8),
         make_record(triangle, [0.0] * 6, final_ar=1.0),
     ]
-    rows = aggregate_table(records)
-    assert len(rows) == 2  # n=2 and n=3 group separately
-    merged = aggregate_table(
+    rows = aggregate_rows(records, tmp_path / "split")
+    assert [row["n"] for row in rows] == ["2", "3"]  # n=2 and n=3 group separately
+    merged = aggregate_rows(
         [r for r in records if r.n == 2]
-        + [make_record(k2, [0.1] * 3, final_ar=1.0, replicate=1)]
+        + [make_record(k2, [0.1] * 3, final_ar=1.0, replicate=1)],
+        tmp_path / "merged",
     )
-    assert abs(merged[0].mean_ar - 0.9) < 1e-12
-    assert abs(merged[0].std_ar - 0.1) < 1e-12
+    assert len(merged) == 1
+    assert abs(float(merged[0]["mean_ar"]) - 0.9) < 1e-12
+    assert abs(float(merged[0]["std_ar"]) - 0.1) < 1e-12
+    assert merged[0]["graph_count"] == "1"
 
 
-def test_aggregate_order_and_permutation_invariance(k2, triangle):
+def test_aggregate_order_and_permutation_invariance(k2, triangle, tmp_path):
     records = [
-        make_record(triangle, [0.0] * 6, strategy="random_pi8_opt", p=2),
+        make_record(triangle, [0.0] * 12, strategy="random_pi8_opt", p=2),
         make_record(k2, [0.0] * 3, strategy="normal", p=1),
         make_record(k2, [0.0] * 3, strategy="rounded_no_opt", p=1),
-        make_record(k2, [0.0] * 3, strategy="normal", p=2),
+        make_record(k2, [0.0] * 6, strategy="normal", p=2),
     ]
-    rows = aggregate_table(records)
-    keys = [(r.n, r.p, r.strategy) for r in rows]
+    rows = aggregate_rows(records, tmp_path / "forward")
+    keys = [(row["n"], row["p"], row["strategy"]) for row in rows]
     assert keys == [
-        (2, 1, "normal"),
-        (2, 1, "rounded_no_opt"),
-        (2, 2, "normal"),
-        (3, 2, "random_pi8_opt"),
+        ("2", "1", "normal"),
+        ("2", "1", "rounded_no_opt"),
+        ("2", "2", "normal"),
+        ("3", "2", "random_pi8_opt"),
     ]
-    assert aggregate_table(records[::-1]) == rows
+    assert aggregate_rows(records[::-1], tmp_path / "reversed") == rows
 
 
 # ----- forest check -----

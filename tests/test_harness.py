@@ -1,4 +1,6 @@
+import collections
 import csv
+import math
 import re
 from pathlib import Path
 
@@ -21,7 +23,11 @@ from maqaoa import (
     write_records,
 )
 from maqaoa.cli import main
-from maqaoa.records import CSV_HEADER, format_float
+from maqaoa.records import CSV_HEADER, ExperimentRecord, format_float
+
+# records of `maqaoa run --dataset builtin:n4 --p 1,2 --replicates 2 --seed 1`
+# and, under report/, the tables `maqaoa report` wrote for them
+GOLDEN = Path(__file__).resolve().parent / "data" / "report_golden"
 
 
 def rows_without_wall_time(records):
@@ -394,6 +400,65 @@ def test_report_computes_every_table_before_writing(small_run, tmp_path):
     with pytest.raises(ValueError, match="unpaired records"):
         report(path, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+
+
+def _read_table(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _parse_cell(cell: str):
+    for kind in (int, float):
+        try:
+            return kind(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+def test_report_matches_golden_tables(tmp_path):
+    # integer and string cells match exactly, float cells to 1e-12 relative
+    files = report(GOLDEN / "records.csv", tmp_path)
+    expected_files = sorted((GOLDEN / "report").iterdir())
+    assert sorted(f.name for f in files) == [f.name for f in expected_files]
+    for expected_file in expected_files:
+        expected = _read_table(expected_file)
+        actual = _read_table(tmp_path / expected_file.name)
+        assert actual[0] == expected[0], expected_file.name
+        assert len(actual) == len(expected), expected_file.name
+        for line, (want, got) in enumerate(zip(expected, actual), start=1):
+            assert len(got) == len(want), (expected_file.name, line)
+            for want_cell, got_cell in zip(map(_parse_cell, want), map(_parse_cell, got)):
+                where = (expected_file.name, line, want_cell, got_cell)
+                if isinstance(want_cell, float) or isinstance(got_cell, float):
+                    assert math.isclose(want_cell, got_cell, rel_tol=1e-12), where
+                else:
+                    assert type(got_cell) is type(want_cell), where
+                    assert got_cell == want_cell, where
+
+
+def test_report_decodes_each_record_once(small_run, tmp_path, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(name):
+        decode = getattr(ExperimentRecord, name)
+
+        def wrapper(record):
+            cell = (record.graph_id, record.p, record.strategy, record.replicate)
+            calls[name, cell] += 1
+            return decode(record)
+
+        return wrapper
+
+    for name in ("graph", "angle_vector"):
+        monkeypatch.setattr(ExperimentRecord, name, counted(name))
+    report(small_run, tmp_path / "report")
+    cells = [
+        (r.graph_id, r.p, r.strategy, r.replicate) for r in read_records(small_run)
+    ]
+    assert calls == collections.Counter(
+        {(name, cell): 1 for name in ("graph", "angle_vector") for cell in cells}
+    )
 
 
 def test_report_rejects_empty_records(tmp_path):
