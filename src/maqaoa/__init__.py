@@ -3,8 +3,6 @@
 from .analysis import (
     AngleStats,
     ArDifferenceStats,
-    ForestClass,
-    ForestReport,
     angle_concentration,
     ar_difference_histogram,
     forest_check,
@@ -19,7 +17,6 @@ from .graphs import (
     graph_id,
     is_connected,
     max_cut,
-    max_degree_vertices,
     parse_graph6,
     random_nonisomorphic_connected,
     read_edge_list,

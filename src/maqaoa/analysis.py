@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph, _find, max_degree_incidence
-from .simulator import AngleVector
-from .strategies import PI8, PI8_TOLERANCE, normalize_angle, normalize_angles, pi8_multiples
+from .simulator import AngleVector, _check_angles
+from .strategies import PI8, PI8_TOLERANCE, normalize_angles, pi8_multiples
 
 HISTOGRAM_BINS = 16
 HISTOGRAM_BIN_LEFT_EDGES = tuple(-np.pi + k * PI8 for k in range(HISTOGRAM_BINS))
@@ -39,20 +39,6 @@ class ArDifferenceStats:
     same_ar_fraction: float
     other_ge_base_fraction: float
     bins: tuple[tuple[float, int], ...]  # (left edge, count)
-
-
-@dataclass(frozen=True)
-class ForestClass:
-    layer: int
-    gamma: float
-    edges: tuple[tuple[int, int], ...]
-    acyclic: bool
-
-
-@dataclass(frozen=True)
-class ForestReport:
-    classes: tuple[ForestClass, ...]
-    acyclic_fraction: float
 
 
 def _require_nonempty(items) -> list:
@@ -100,6 +86,7 @@ def max_degree_zero_fraction(graphs, angle_vectors) -> float:
     near = 0
     total = 0
     for g, angles in pairs:
+        _check_angles(g, angles)
         hits, top = max_degree_incidence(g)
         angles = normalize_angles(angles)
         near += int((np.abs(angles.beta[:, top]) < PI8_TOLERANCE).sum())
@@ -150,62 +137,39 @@ def ar_difference_histogram(base_records, other_records) -> ArDifferenceStats:
     )
 
 
-def forest_check(g: Graph, angles: AngleVector) -> ForestReport:
-    """Group each layer's edges by equal gamma and test the groups for cycles.
+def forest_check(g: Graph, angles: AngleVector) -> float:
+    """Fraction of each layer's equal-gamma edge classes that induce a forest.
 
     Edges whose normalized gammas sit within PI8_TOLERANCE of each other (by
-    chaining along the sorted values, and across +-pi) form one class, whose
-    gamma is their normalized mean; a class is acyclic when its edges induce
-    a forest. The report covers all layers; an edgeless graph yields no
-    classes and fraction 1.
+    chaining along the sorted values, and across +-pi) form one class. The
+    fraction is over the classes of all layers; an edgeless graph gives 1.
     """
-    if angles.gamma.shape[1] != g.edge_count or angles.beta.shape[1] != g.n:
-        raise ValueError("angle shape does not match graph")
-    classes: list[ForestClass] = []
-    gamma = normalize_angles(angles).gamma
-    for layer in range(angles.p):
-        values = gamma[layer]
-        order = sorted(range(g.edge_count), key=lambda k: values[k])
-        cluster: list[int] = []
-        clusters: list[list[int]] = []
-        for k in order:
-            if cluster and values[k] - values[cluster[-1]] >= PI8_TOLERANCE:
-                clusters.append(cluster)
-                cluster = []
-            cluster.append(k)
-        if cluster:
-            clusters.append(cluster)
+    _check_angles(g, angles)
+    if not g.edge_count:
+        return 1.0
+    classes = 0
+    forests = 0
+    for values in normalize_angles(angles).gamma.tolist():
+        order = sorted(range(g.edge_count), key=values.__getitem__)
+        members = [[order[0]]]
+        for prev, k in zip(order, order[1:]):
+            if values[k] - values[prev] >= PI8_TOLERANCE:
+                members.append([])
+            members[-1].append(k)
         # gammas are angles mod 2*pi: the last class joins the first when
-        # they meet across +-pi, its members shifted down by 2*pi
-        if (
-            len(clusters) > 1
-            and values[clusters[0][0]] + 2.0 * np.pi - values[clusters[-1][-1]]
-            < PI8_TOLERANCE
-        ):
-            wrapped = clusters.pop()
-            values[wrapped] -= 2.0 * np.pi
-            clusters[0] = wrapped + clusters[0]
-        for members in clusters:
-            edges = tuple(g.edges[k] for k in members)
+        # they meet across +-pi
+        wrap_gap = values[order[0]] + 2.0 * np.pi - values[order[-1]]
+        if len(members) > 1 and wrap_gap < PI8_TOLERANCE:
+            members[0] += members.pop()
+        classes += len(members)
+        for cls in members:
             parent = list(range(g.n))
-            acyclic = True
-            for u, v in edges:
+            for k in cls:
+                u, v = g.edges[k]
                 ru, rv = _find(parent, u), _find(parent, v)
                 if ru == rv:
-                    acyclic = False
                     break
                 parent[ru] = rv
-            classes.append(
-                ForestClass(
-                    layer=layer,
-                    gamma=float(normalize_angle(np.mean(values[members]))),
-                    edges=edges,
-                    acyclic=acyclic,
-                )
-            )
-    total = len(classes)
-    acyclic_count = sum(1 for c in classes if c.acyclic)
-    return ForestReport(
-        classes=tuple(classes),
-        acyclic_fraction=acyclic_count / total if total else 1.0,
-    )
+            else:
+                forests += 1
+    return forests / classes

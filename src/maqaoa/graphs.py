@@ -103,13 +103,6 @@ def is_connected(g: Graph) -> bool:
     return all(_find(parent, v) == root for v in range(g.n))
 
 
-def max_degree_vertices(g: Graph) -> list[int]:
-    """All vertices attaining the maximum degree, ascending."""
-    degs = g.degrees()
-    top = max(degs)
-    return [v for v, d in enumerate(degs) if d == top]
-
-
 def max_degree_incidence(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Where the maximum-degree vertices sit, as (hits, top).
 

@@ -239,7 +239,7 @@ def report(records_path, out_dir) -> list[Path]:
         )
         zero_fraction = max_degree_zero_fraction(graphs, angles)
         tables["max_degree_zero.csv"].append((*group, zero_fraction))
-        fractions = [forest_check(g, a).acyclic_fraction for g, a in zip(graphs, angles)]
+        fractions = [forest_check(g, a) for g, a in zip(graphs, angles)]
         tables["forest_summary.csv"].append(
             (*group, sum(fractions) / len(fractions), len(block))
         )

@@ -14,7 +14,8 @@ code paths with the package, so agreement is meaningful evidence.
   `fd_gradient` (central differences) and `uniform_p1_expectation` (the
   closed form of Wang et al. at one shared angle pair).
 * Report statistics: `naive_max_degree_zero_fraction`, one maximum-degree
-  vertex at a time.
+  vertex at a time, and `naive_forest_fraction`, which links gammas pairwise
+  on the circle and asks networkx whether each class is a forest.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 
+import networkx as nx
 import numpy as np
 from scipy.linalg import expm
 
@@ -31,7 +33,6 @@ from maqaoa import (
     Graph,
     PI8_TOLERANCE,
     expectation,
-    max_degree_vertices,
     normalize_angles,
     run_circuit,
 )
@@ -254,7 +255,10 @@ def naive_max_degree_zero_fraction(graphs, angle_vectors) -> float:
         angles = normalize_angles(angles)
         gamma = np.abs(angles.gamma)
         beta = np.abs(angles.beta)
-        for v in max_degree_vertices(g):
+        degrees = g.degrees()
+        for v in range(g.n):
+            if degrees[v] < max(degrees):
+                continue
             near += int((beta[:, v] < PI8_TOLERANCE).sum())
             total += angles.p
             for k, (a, b) in enumerate(g.edges):
@@ -262,3 +266,28 @@ def naive_max_degree_zero_fraction(graphs, angle_vectors) -> float:
                     near += int((gamma[:, k] < PI8_TOLERANCE).sum())
                     total += angles.p
     return near / total
+
+
+def naive_forest_fraction(g: Graph, angles: AngleVector) -> float:
+    """Share of the equal-gamma edge classes, over all layers, that are forests.
+
+    Two edges of a layer are linked when their gammas lie within
+    PI8_TOLERANCE of each other on the circle (mod 2*pi, so across +-pi too);
+    a class is a connected component of those links, and networkx decides
+    whether its edges induce a forest. An edgeless graph gives 1.
+    """
+    if not g.edge_count:
+        return 1.0
+    classes = 0
+    forests = 0
+    for values in angles.gamma:
+        links = nx.Graph()
+        links.add_nodes_from(range(g.edge_count))
+        for i, j in itertools.combinations(range(g.edge_count), 2):
+            gap = abs(values[i] - values[j]) % (2.0 * math.pi)
+            if min(gap, 2.0 * math.pi - gap) < PI8_TOLERANCE:
+                links.add_edge(i, j)
+        for component in nx.connected_components(links):
+            classes += 1
+            forests += nx.is_forest(nx.Graph([g.edges[k] for k in component]))
+    return forests / classes

@@ -23,7 +23,7 @@ from maqaoa import (
 )
 from maqaoa.analysis import HISTOGRAM_BINS, HISTOGRAM_BIN_LEFT_EDGES
 from maqaoa.graphs import max_degree_incidence
-from oracles import naive_max_degree_zero_fraction
+from oracles import naive_forest_fraction, naive_max_degree_zero_fraction
 
 
 def make_record(g: Graph, angles, *, p=1, strategy="normal", graph_id=None,
@@ -147,6 +147,15 @@ def test_max_degree_zero_fraction_rejects_empty_and_unpaired(k4):
         max_degree_zero_fraction([k4, k4], [angles])
 
 
+def test_max_degree_zero_fraction_rejects_angles_of_another_graph(star4):
+    # a width-1 gamma would broadcast against star4's three edges
+    gamma = AngleVector([[0.0]], [[0.0, 1.0, 1.0, 1.0]])
+    beta = AngleVector([[0.0] * 3], [[0.0] * 3])
+    for angles in (gamma, beta):
+        with pytest.raises(ValueError):
+            max_degree_zero_fraction([star4], [angles])
+
+
 def test_max_degree_zero_fraction_counts_only_top_vertices(star4):
     # center beta zero and all gammas zero, leaves nonzero: leaves are not
     # max degree, so the fraction only sees the zeroed angles
@@ -252,6 +261,13 @@ def test_aggregate_order_and_permutation_invariance(k2, triangle, tmp_path):
 
 # ----- forest check -----
 
+@pytest.fixture
+def paw() -> Graph:
+    # a triangle with a pendant edge: the fraction is 1/2 exactly when the
+    # triangle's three edges form one class and the pendant another
+    return Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+
 def test_forest_check_path_always_acyclic(path4):
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -259,70 +275,82 @@ def test_forest_check_path_always_acyclic(path4):
             rng.uniform(-math.pi, math.pi, (2, 3)),
             rng.uniform(-math.pi, math.pi, (2, 4)),
         )
-        report = forest_check(path4, angles)
-        assert report.acyclic_fraction == 1.0
+        assert forest_check(path4, angles) == 1.0
 
 
 def test_forest_check_triangle_equal_gammas(triangle):
     angles = AngleVector([[0.5, 0.5, 0.5]], [[0.0, 0.0, 0.0]])
-    report = forest_check(triangle, angles)
-    assert len(report.classes) == 1
-    assert not report.classes[0].acyclic
-    assert report.acyclic_fraction == 0.0
+    assert forest_check(triangle, angles) == 0.0
 
 
 def test_forest_check_triangle_distinct_gammas(triangle):
     angles = AngleVector([[0.1, 0.9, 1.7]], [[0.0, 0.0, 0.0]])
-    report = forest_check(triangle, angles)
-    assert len(report.classes) == 3
-    assert report.acyclic_fraction == 1.0
+    assert forest_check(triangle, angles) == 1.0
 
 
-def test_forest_check_clusters_within_tolerance(triangle):
-    angles = AngleVector([[0.5, 0.5 + 1e-5, 1.5]], [[0.0] * 3])
-    report = forest_check(triangle, angles)
-    assert len(report.classes) == 2
-    sizes = sorted(len(c.edges) for c in report.classes)
-    assert sizes == [1, 2]
-    assert report.acyclic_fraction == 1.0
+def test_forest_check_clusters_within_tolerance(paw):
+    # neighbours chain within PI8_TOLERANCE although the triangle's ends are
+    # further apart than it: one cyclic class and the pendant
+    step = 0.6 * PI8_TOLERANCE
+    chained = AngleVector([[0.5, 0.5 + step, 0.5 + 2 * step, 1.5]], [[0.0] * 4])
+    assert forest_check(paw, chained) == 0.5
+    # neighbours PI8_TOLERANCE or more apart stay apart: four forests
+    step = 1.5 * PI8_TOLERANCE
+    apart = AngleVector([[0.5, 0.5 + step, 0.5 + 2 * step, 1.5]], [[0.0] * 4])
+    assert forest_check(paw, apart) == 1.0
 
 
-def test_forest_check_classes_wrap_across_pi(triangle):
+def test_forest_check_classes_wrap_across_pi(paw):
     # gammas are angles mod 2*pi; the second set is a stored -pi that reads
     # back from CSV as just below pi
     for gammas in (
-        [math.pi - 1e-5, -math.pi, -math.pi + 1e-5],
-        [math.pi - 2e-13, -math.pi, -math.pi],
+        [math.pi - 1e-5, -math.pi, -math.pi + 1e-5, 0.5],
+        [math.pi - 2e-13, -math.pi, -math.pi, 0.5],
+        [math.pi, -math.pi, math.pi + 1e-5, 0.5],
     ):
-        report = forest_check(triangle, AngleVector([gammas], [[0.0] * 3]))
-        assert len(report.classes) == 1
-        assert not report.classes[0].acyclic
-        assert report.acyclic_fraction == 0.0
-        assert -math.pi <= report.classes[0].gamma < math.pi
-        assert math.pi - abs(report.classes[0].gamma) < 1e-5
+        assert forest_check(paw, AngleVector([gammas], [[0.0] * 4])) == 0.5
     # ends further apart than PI8_TOLERANCE across +-pi stay apart
-    apart = AngleVector([[math.pi - 1e-3, -math.pi, 0.5]], [[0.0] * 3])
-    assert len(forest_check(triangle, apart).classes) == 3
+    apart = [math.pi - 2 * PI8_TOLERANCE, -math.pi, -math.pi + 1e-5, 0.5]
+    assert forest_check(paw, AngleVector([apart], [[0.0] * 4])) == 1.0
 
 
 def test_forest_check_per_layer(c4):
+    # layer 0: all four edges, one cycle; layer 1: two matchings
     angles = AngleVector([[0.2] * 4, [0.2, 0.9, 0.2, 0.9]], np.zeros((2, 4)))
-    report = forest_check(c4, angles)
-    layers = {}
-    for cls in report.classes:
-        layers.setdefault(cls.layer, []).append(cls)
-    assert not any(c.acyclic for c in layers[0])  # all four edges, one cycle
-    assert all(c.acyclic for c in layers[1])  # split into two matchings
-    assert abs(report.acyclic_fraction - 2 / 3) < 1e-12
+    assert abs(forest_check(c4, angles) - 2 / 3) < 1e-12
 
 
 def test_forest_check_edgeless_graph():
     g = Graph(3)
-    report = forest_check(g, AngleVector(np.zeros((1, 0)), np.zeros((1, 3))))
-    assert report.classes == ()
-    assert report.acyclic_fraction == 1.0
+    assert forest_check(g, AngleVector(np.zeros((1, 0)), np.zeros((1, 3)))) == 1.0
 
 
 def test_forest_check_shape_mismatch(triangle):
     with pytest.raises(ValueError):
         forest_check(triangle, AngleVector(np.zeros((1, 2)), np.zeros((1, 3))))
+    with pytest.raises(ValueError):
+        forest_check(triangle, AngleVector(np.zeros((1, 3)), np.zeros((1, 2))))
+
+
+def test_forest_check_matches_pairwise_reference():
+    rng = np.random.default_rng(25)
+    fractions = []
+    for g in enumerate_connected(5):
+        m = g.edge_count
+        for p in (1, 3):
+            # pi/8 multiples from a few steps, +-pi among them, so that
+            # classes of three or more edges are common
+            base = rng.choice([-8, -7, -1, 0, 1, 7, 8], (p, m)) * PI8
+            for gamma in (
+                base,
+                base + rng.uniform(-0.4, 0.4, (p, m)) * PI8_TOLERANCE,
+                base + rng.uniform(-3, 3, (p, m)) * PI8_TOLERANCE,
+                np.where(rng.random((p, m)) < 0.5, math.pi, -math.pi),
+            ):
+                angles = AngleVector(gamma, np.zeros((p, g.n)))
+                expected = naive_forest_fraction(g, angles)
+                assert forest_check(g, angles) == pytest.approx(expected, abs=1e-12)
+                fractions.append(expected)
+    # the cases reach cyclic classes and forests alike
+    assert min(fractions) == 0.0 and max(fractions) == 1.0
+    assert len(set(fractions)) > 5
