@@ -192,7 +192,7 @@ def bfgs_maximize(
     old_f = f + math.sqrt(g @ g) / 2
 
     for _ in range(cfg.max_iterations):
-        if float(np.max(np.abs(g))) < GRADIENT_TOLERANCE:
+        if np.abs(g).max() < GRADIENT_TOLERANCE:
             converged = True
             break
         direction = -g if H is None else -(H @ g)

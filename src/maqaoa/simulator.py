@@ -31,7 +31,8 @@ diagonal in the computational basis with value = number of cut edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -151,6 +152,13 @@ class _CostTables:
     high: np.ndarray
     flips: np.ndarray
     groups: np.ndarray
+    flipped: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # per row of `high`, the groups whose flips it takes, for multiply
+        object.__setattr__(self, "flipped", tuple(
+            tuple(int(h) for h in np.flatnonzero(row)) for row in self.flips.T
+        ))
 
     def sums(self) -> np.ndarray:
         """Each basis state's sum of the terms, flat 2^(a + b).
@@ -165,52 +173,63 @@ class _CostTables:
             np.subtract(sums, 2.0 * crossing, out=sums, where=flipped[:, None])
         return sums.ravel()
 
-    def factors(self, angles: np.ndarray) -> np.ndarray:
-        """exp(-i * low @ a), exp(-i * high @ a), then each group's flip factor,
-        for every row a of angles.
+    @property
+    def width(self) -> int:
+        """Columns of a factor table: 2^b, then for a > 0 2^a + groups * 2^b.
+        For a = 0, high is one all-zero row and no term crosses."""
+        high = len(self.high) if len(self.high) > 1 else 0
+        return len(self.low) * (1 + len(self.groups)) + high
 
-        Returns one (rows, 2^b + 2^a + groups * 2^b) table, one row per
-        layer, from one stack of per-layer products per part (see _matmul)
-        and one exp for all. Its conjugate undoes the layers.
+    def arguments(self, angles: np.ndarray, arg: np.ndarray) -> None:
+        """low @ a, high @ a, then each group's flip argument, for every row a
+        of angles, into that row of arg, a float (rows, width) table whose
+        every entry is written; see _Phases for their factors.
+
+        One stack of per-layer products per part (see _matmul).
         """
         b = len(self.low)
         width = b + len(self.high)
-        arg = np.zeros((len(angles), width + len(self.groups) * b))
         layers = angles[:, None, :]
         _matmul(layers, self.low.T, arg[:, None, :b])
-        # for a = 0, high is one all-zero row: its factor stays 1
         if len(self.high) > 1:
             _matmul(layers, self.high.T, arg[:, None, b:width])
             _matmul(self.groups * (-2.0 * layers), self.low.T, arg[:, width:].reshape(len(arg), -1, b))
-        return np.exp(-1j * arg)
 
-    def multiply(self, states: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
-        """Multiply states by one layer's diagonal, into out.
-
-        `states` holds one or more 2^(a + b) states, `out` is their shape and
-        may be `states`, and `factors` is that layer's row of `factors(...)`,
-        conjugated to undo the layer.
-        """
-        b = len(self.low)
+    def step(self, state: np.ndarray, factors: np.ndarray, out: np.ndarray) -> tuple:
+        """The call that multiplies one state by one layer's diagonal, into
+        out, as (function, arguments); `factors` is that layer's row of its
+        _Phases table, conjugated to undo the layer. For a = 0 it is one
+        numpy call, which holds nothing of the tables."""
         if len(self.high) == 1:
-            np.multiply(states, factors[:b], out=out)
-            return
+            return np.multiply, (state, factors, out)
+        return self.multiply, (state, factors, out)
+
+    def multiply(self, state: np.ndarray, factors: np.ndarray, out: np.ndarray) -> None:
+        """step's call for a > 0: row by row of 2^b amplitudes, so that every
+        numpy call takes operands of one shape or a scalar. A broadcast over
+        rows would allocate an iterator buffer of up to np.getbufsize()
+        amplitudes per call, and a flip applied with `where` would pass over
+        every row."""
+        b = len(self.low)
         width = b + len(self.high)
-        view = out.reshape(-1, len(self.high), b)
-        np.multiply(states.reshape(view.shape), factors[:b], out=view)
-        view *= factors[b:width, None]
-        for flipped, flip in zip(self.flips, factors[width:].reshape(-1, b)):
-            np.multiply(view, flip, out=view, where=flipped[:, None])
+        low = factors[:b]
+        flips = factors[width:].reshape(-1, b)
+        rows = zip(state.reshape(-1, b), out.reshape(-1, b), factors[b:width], self.flipped)
+        for src, row, high, groups in rows:
+            np.multiply(src, low, out=row)
+            np.multiply(row, high, out=row)
+            for h in groups:
+                np.multiply(row, flips[h], out=row)
 
     def contract(self, w: np.ndarray, out: np.ndarray) -> None:
         """Per row and term, the sum of a real 2^(a + b) row of w weighted by that term.
 
         w is (rows, 2^(a + b)), out (rows, terms).
         """
-        w = w.reshape(len(w), len(self.high), len(self.low))
         if len(self.high) == 1:
-            _matmul(w[:, 0], self.low, out)
+            _matmul(w, self.low, out)
             return
+        w = w.reshape(len(w), len(self.high), len(self.low))
         _matmul(w.sum(axis=1), self.low, out)
         high = np.empty_like(out)
         _matmul(w.sum(axis=2), self.high, high)
@@ -384,8 +403,9 @@ class _Block:
             matrix = _hadamard(k) if left else _pair_hadamard(k)
             self._chunks.append((product, matrix, left, view))
 
-    def transform(self, src: int, dst: int, spare: int) -> None:
-        """Write H^n of row src into row dst, through row spare.
+    def transform(self, src: int, dst: int, spare: int) -> list[tuple]:
+        """The calls that write H^n of row src into row dst, through row
+        spare, as (function, arguments) pairs for _run.
 
         Row src is never written unless it is dst. The chunks alternate
         between dst and spare so that the last lands in dst; in place, an
@@ -393,14 +413,20 @@ class _Block:
         """
         odd = len(self._chunks) % 2
         out, other = (dst, spare) if odd and dst != src else (spare, dst)
+        calls = []
         for product, h, left, view in self._chunks:
-            if left:
-                product(h, view[src], out=view[out])
-            else:
-                product(view[src], h, out=view[out])
+            args = (h, view[src], view[out]) if left else (view[src], h, view[out])
+            calls.append((product, args))
             src, out, other = out, other, out
         if src != dst:
-            self.states[dst] = self.states[src]
+            calls.append((np.copyto, (self.states[dst], self.states[src])))
+        return calls
+
+
+def _run(calls) -> None:
+    """Make each (function, arguments) call in order."""
+    for call, args in calls:
+        call(*args)
 
 
 @lru_cache(maxsize=_GRAPH_CACHE_SIZE)
@@ -444,9 +470,18 @@ def _check_angles(g: Graph, angles: AngleVector) -> None:
 
 
 def _forward(
-    g: Graph, angles: AngleVector, rows: int, ring: int, out: int, spare: int
-) -> tuple[_Block, np.ndarray, np.ndarray]:
-    """Run the circuit from the plus state in a new block of `rows` half states.
+    block: _Block,
+    tables: _CostTables,
+    spins: _CostTables,
+    cost: np.ndarray,
+    mix: np.ndarray,
+    ring: int,
+    out: int,
+    spare: int,
+) -> list[tuple]:
+    """The calls that run the circuit from the plus state in a block of half
+    states, given its cost and mixer factor tables (one row per layer, see
+    _Phases).
 
     The final state goes to row `out`. Rows 0 .. ring - 1 keep the state at
     the two points per layer where the adjoint reads that layer's gradient:
@@ -454,37 +489,76 @@ def _forward(
     goes to row 2l mod ring, and its state after its mixer diagonal, in the
     Hadamard basis, to row 2l + 1 mod ring; a ring of one row keeps only
     the current state. Row `spare` is a work buffer.
-    Returns the block and the cost and mixer factor tables of every layer
-    (see _CostTables.factors), which are built before the block so that
-    their temporaries never add to its peak.
     """
-    tables = _cost_tables(g)
-    spins = _spin_tables(g.n)
-    cost = tables.factors(angles.gamma)
-    mix = spins.factors(angles.beta)
-    block = _Block(rows, g.n - 1)
     states = block.states
+    n = spins.low.shape[1]  # one spin per vertex
+    p = len(cost)
     ket = 0
-    states[ket].fill(2.0 ** (-g.n / 2))  # the plus state
-    for layer in range(angles.p):
-        tables.multiply(states[ket], cost[layer], states[ket])
+    calls = [(states[ket].fill, (2.0 ** (-n / 2),))]  # the plus state
+    for layer in range(p):
+        calls.append(tables.step(states[ket], cost[layer], states[ket]))
         mixed = (2 * layer + 1) % ring
-        block.transform(ket, mixed, spare)
-        spins.multiply(states[mixed], mix[layer], states[mixed])
-        ket = (2 * layer + 2) % ring if layer + 1 < angles.p else out
-        block.transform(mixed, ket, spare)
-    return block, cost, mix
+        calls += block.transform(ket, mixed, spare)
+        calls.append(spins.step(states[mixed], mix[layer], states[mixed]))
+        ket = (2 * layer + 2) % ring if layer + 1 < p else out
+        calls += block.transform(mixed, ket, spare)
+    return calls
+
+
+class _Phases:
+    """The phase factors of p layers of the cost and the mixer, side by side.
+
+    `cost` and `mix` are the (p, width) halves of one complex table, each
+    row a layer: exp(-1j * arg) of the arguments that `fill` writes to
+    `arg`, a float table of the same shape that the caller provides (see
+    _CostTables.arguments), built as cos(arg) and -sin(arg), which are the
+    same bits with no complex exp. Conjugated, the factors undo their layers.
+    """
+
+    def __init__(self, tables: _CostTables, spins: _CostTables, arg: np.ndarray) -> None:
+        width = tables.width
+        self.table = np.empty(arg.shape, dtype=np.complex128)
+        self.cost, self.mix = self.table[:, :width], self.table[:, width:]
+        self._arguments = arg[:, :width], arg[:, width:]
+        sines = self.table.imag
+        self._exp = (
+            (np.cos, (arg, self.table.real)),
+            (np.sin, (arg, sines)),
+            (np.negative, (sines, sines)),
+        )
+
+    def fill(self, tables: _CostTables, spins: _CostTables, angles: AngleVector) -> None:
+        cost, mix = self._arguments
+        tables.arguments(angles.gamma, cost)
+        spins.arguments(angles.beta, mix)
+        _run(self._exp)
 
 
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     """Full circuit: plus state, then per layer all edge phases, all rotations.
 
-    The circuit runs in the first half of the array returned, through the
-    second, which then mirrors the first: a call holds one full state.
+    While the half state fits the low split (n - 1 <= _LO_BITS) the circuit
+    runs in the calling thread's workspace for (n, p), as the adjoint's
+    forward pass does, and its final half and that half mirrored are copied
+    into the array returned. Above it, the circuit runs in the first half
+    of the array returned, through the second, which then mirrors the
+    first: a call holds one full state.
     """
     _check_angles(g, angles)
+    tables = _cost_tables(g)
+    spins = _spin_tables(g.n)
+    if g.n - 1 <= _LO_BITS:
+        ws = _workspace(tables, spins, g.n, angles.p)
+        ws.phases.fill(tables, spins, angles)
+        _run(ws.forward)
+        return np.concatenate((ws.final, ws.final[::-1]))
+    phases = _Phases(tables, spins, np.empty((angles.p, tables.width + spins.width)))
+    phases.fill(tables, spins, angles)
+    cost, mix = phases.cost, phases.mix
+    del phases  # its float arguments go before the block is allocated
+    block = _Block(2, g.n - 1)
     # every transform in place in row 0, through row 1
-    block, _, _ = _forward(g, angles, 2, 1, 0, 1)
+    _run(_forward(block, tables, spins, cost, mix, 1, 0, 1))
     block.states[1] = block.states[0][::-1]
     return block.states.reshape(-1)
 
@@ -650,6 +724,77 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
     return _adjoint(g, angles)
 
 
+class _Workspace:
+    """The buffers of the adjoint sweep on one (n, p), with its calls bound.
+
+    Its block holds 4p + 2 half states: the forward pass keeps the ket in
+    rows 0 .. 2p - 1, the backward pass the bra in rows 2p .. 4p - 1, and
+    rows 4p (`bra`) and 4p + 1 (`final`) are the bra and the work row.
+    `phases` holds the factor tables, filled per call from arguments in
+    the bras' rows. `forward` runs the circuit into `final`; `backward`
+    steps the bra from `bra` back through the layers and leaves each
+    layer's product conj(bra) * ket, whose imaginary parts `cost_weights`
+    and `mix_weights` hold the gradient's weights. Where the half's index
+    does not cross the split (a = 0) every call is a bare numpy call on
+    these buffers and holds nothing of the graph, so one workspace serves
+    every graph of its (n, p).
+    """
+
+    def __init__(self, tables: _CostTables, spins: _CostTables, n: int, p: int) -> None:
+        block = _Block(4 * p + 2, n - 1)
+        states = block.states
+        kets, bras = states[:2 * p], states[2 * p:4 * p]
+        # the backward pass alone writes the bras, after the phases are
+        # built, so their rows hold the phases' arguments: p * width floats
+        # of p * 2^(n + 1), each table's width being at most 2^n
+        arg = bras.view(np.float64).reshape(-1)[:p * (tables.width + spins.width)]
+        phases = self.phases = _Phases(tables, spins, arg.reshape(p, -1))
+        cost, mix = phases.cost, phases.mix
+        bra, spare = 4 * p, 4 * p + 1
+        self.bra, self.final = states[bra], states[spare]
+        # the final state lands in the backward pass's spare row, and the
+        # forward pass works through the bra's row
+        self.forward = _forward(block, tables, spins, cost, mix, 2 * p, spare, bra)
+        # conjugated, the factors undo their layers
+        calls = [(np.conjugate, (phases.table, phases.table))]
+        for layer in reversed(range(p)):
+            after_cost, after_mixer = 2 * p + 2 * layer, 2 * p + 2 * layer + 1
+            calls += block.transform(bra, after_mixer, spare)
+            calls.append(spins.step(states[after_mixer], mix[layer], states[bra]))
+            calls += block.transform(bra, after_cost, spare)
+            if layer:
+                # states below layer 0 are never read, skip the last undo
+                calls.append(tables.step(states[after_cost], cost[layer], states[bra]))
+        calls += [(np.conjugate, (bras, bras)), (np.multiply, (bras, kets, bras))]
+        self.backward = calls
+        w = bras.imag
+        self.cost_weights, self.mix_weights = w[0::2], w[1::2]
+
+
+class _Workspaces(threading.local):
+    """Each thread's workspaces, by (n, p)."""
+
+    def __init__(self) -> None:
+        self.by_shape: dict[tuple[int, int], _Workspace] = {}
+
+
+_WORKSPACES = _Workspaces()
+
+
+def _workspace(tables: _CostTables, spins: _CostTables, n: int, p: int) -> _Workspace:
+    """The calling thread's workspace for (n, p), kept while the half state
+    fits the low split: at n = 11, p = 3, 224 KiB of half states and 96 KiB
+    of phase tables. A larger one holds the graph's crossing terms and is
+    built per call."""
+    if n - 1 > _LO_BITS:
+        return _Workspace(tables, spins, n, p)
+    kept = _WORKSPACES.by_shape
+    workspace = kept.get((n, p))
+    if workspace is None:
+        workspace = kept[n, p] = _Workspace(tables, spins, n, p)
+    return workspace
+
+
 def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     """expectation_and_gradient on the statevector, for any number of layers.
 
@@ -663,41 +808,25 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     through the layers, undoing each diagonal with the conjugates of the
     forward pass's phase factors, and keeps it at the same points. All
     derivatives are then read from one product of the two blocks, one
-    contraction per diagonal. A call holds 4p + 2 half states; every
-    stored amplitude stands for two, so value and gradient are twice the
-    half's sums.
+    contraction per diagonal. A call holds 4p + 2 half states (see
+    _Workspace); every stored amplitude stands for two, so value and
+    gradient are twice the half's sums.
     """
     p = angles.p
     m = g.edge_count
     n = g.n
     tables = _cost_tables(g)
     spins = _spin_tables(n)
-
-    bra, spare = 4 * p, 4 * p + 1
-    # the final state lands in the backward pass's spare row, and the
-    # forward pass works through the bra's row
-    block, cost, mix = _forward(g, angles, 4 * p + 2, 2 * p, spare, bra)
-    states = block.states
-    kets, bras = states[:2 * p], states[2 * p:4 * p]
-    np.multiply(_half_cuts(g), states[spare], out=states[bra])
-    value = 2.0 * float(_dot(np.vdot, states[spare], states[bra]).real)
-    # conjugated, the factors undo their layers
-    np.conjugate(cost, out=cost)
-    np.conjugate(mix, out=mix)
-    for layer in reversed(range(p)):
-        after_cost, after_mixer = 2 * p + 2 * layer, 2 * p + 2 * layer + 1
-        block.transform(bra, after_mixer, spare)
-        spins.multiply(states[after_mixer], mix[layer], states[bra])
-        block.transform(bra, after_cost, spare)
-        if layer:
-            # states below layer 0 are never read, skip the last undo
-            tables.multiply(states[after_cost], cost[layer], states[bra])
-    del cost, mix  # the readouts' temporaries may take their place
-
-    w = np.conjugate(bras, out=bras)
-    w = np.multiply(w, kets, out=w).imag
+    ws = _workspace(tables, spins, n, p)
+    ws.phases.fill(tables, spins, angles)
+    _run(ws.forward)
+    np.multiply(_half_cuts(g), ws.final, out=ws.bra)
+    value = 2.0 * float(_dot(np.vdot, ws.final, ws.bra).real)
+    _run(ws.backward)
+    cost_weights, mix_weights = ws.cost_weights, ws.mix_weights
+    del ws  # unless kept, its phase tables go before the readouts' temporaries
     grad = np.empty((p, m + n), dtype=np.float64)
-    tables.contract(w[0::2], grad[:, :m])
-    spins.contract(w[1::2], grad[:, m:])
+    tables.contract(cost_weights, grad[:, :m])
+    spins.contract(mix_weights, grad[:, m:])
     grad *= 4.0
     return value, grad.ravel()

@@ -150,6 +150,24 @@ def test_non_finite_objective_raises():
         bfgs_maximize(bad, np.ones(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_gradient_raises_at_the_start_and_on_the_line(bad):
+    """A non-finite gradient entry raises at the start point, and at a
+    line-search point where the search direction is zero in that entry."""
+    def at_start(x):
+        return 0.0, np.array([1.0, bad])
+
+    with pytest.raises(NumericalError):
+        bfgs_maximize(at_start, np.zeros(2))
+
+    def on_the_line(x):
+        # the gradient (1, 0) at the start sets the direction to (1, 0)
+        return x[0] - x[0] ** 2 / 2, np.array([1.0 - x[0], 0.0 if x[0] == 0 else bad])
+
+    with pytest.raises(NumericalError):
+        bfgs_maximize(on_the_line, np.zeros(2))
+
+
 def test_unbounded_direction_gives_unconverged_result():
     # maximize x (no interior optimum): the curvature condition is never
     # satisfiable, the line search gives up, converged stays False

@@ -23,11 +23,14 @@ from maqaoa.simulator import (
     _DOT_SIZE,
     _LO_BITS,
     _PRODUCT_SIZE,
+    _WORKSPACES,
     _Block,
+    _Phases,
     _adjoint,
     _chunk_layout,
     _cost_tables,
     _light_cone,
+    _run,
     _spin_tables,
 )
 from conftest import random_angles
@@ -500,7 +503,7 @@ def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
     states = block.states
     states[0] = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
     source = states[0].copy()
-    block.transform(0, 1, 2)
+    _run(block.transform(0, 1, 2))
     np.testing.assert_array_equal(states[0], source)
     if n <= 7:
         dense = np.ones((1, 1))
@@ -509,7 +512,7 @@ def test_hadamard_transform_matches_dense_and_is_its_own_inverse(n):
         np.testing.assert_allclose(states[1], dense @ source, rtol=0, atol=1e-12)
     else:
         np.testing.assert_allclose(states[1], _butterflies(source), rtol=0, atol=1e-12)
-    block.transform(1, 1, 2)
+    _run(block.transform(1, 1, 2))
     np.testing.assert_allclose(states[1], source, rtol=0, atol=1e-12)
 
 
@@ -578,7 +581,7 @@ def test_blas_calls_stay_under_the_thresholds(monkeypatch):
     angles = random_angles(complete, 2, seed=24)
     w = np.zeros((2, 1 << n - 1))  # only read: its pages stay the kernel's zero page
     for tables, layers in ((cost, angles.gamma), (_spin_tables.__wrapped__(n), angles.beta)):
-        tables.factors(layers)
+        tables.arguments(layers, np.zeros((len(layers), tables.width)))
         tables.contract(w, np.empty(layers.shape))
     assert max(products) <= _PRODUCT_SIZE
     assert max(dots) <= _DOT_SIZE
@@ -678,20 +681,20 @@ def _factor_table_bytes(g: Graph, p: int) -> int:
 
 def test_run_circuit_holds_one_state():
     """The tracemalloc peak of one run_circuit call at n = 16: the full state
-    it returns, in whose halves the circuit runs, the phase-factor tables
-    and one numpy iterator buffer."""
+    it returns, in whose halves the circuit runs, and the phase-factor
+    tables, whose float arguments are freed before the state is allocated;
+    no numpy iterator buffer."""
     g = _split_graph(16)
     p = 3
     angles = random_angles(g, p, seed=26)
     run_circuit(g, angles)  # fill the per-graph caches
-    buffer = 16 * min(1 << (g.n - 1), np.getbufsize())
     tracemalloc.start()
     try:
         state = run_circuit(g, angles)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= state.nbytes + _factor_table_bytes(g, p) + buffer + (16 << 10)
+    assert peak <= state.nbytes + _factor_table_bytes(g, p) + (16 << 10)
 
 
 def test_expectation_adds_only_chunk_temporaries():
@@ -708,6 +711,174 @@ def test_expectation_adds_only_chunk_temporaries():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 8 * _DOT_SIZE + (16 << 10)
+
+
+# ----- the adjoint's workspaces -----
+
+def _in_thread(target, timeout: float = 120.0):
+    """target() run in a new thread, whose workspaces start empty; its
+    result, or the exception it raised."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, target()))
+        except Exception as error:  # re-raised in the calling thread
+            outcome.append((False, error))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive() and outcome, "the thread did not finish"
+    ok, result = outcome[0]
+    if not ok:
+        raise result
+    return result
+
+
+@pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (_LO_BITS + 1, 2)])
+def test_workspace_reuse_keeps_the_bits(n, p):
+    """A call's value and gradient are the same bits on a fresh workspace
+    and after that workspace has served other graphs of its (n, p), and
+    other (n, p) have been served too."""
+    g, *others = random_nonisomorphic_connected(n, 3, seed=28)
+    angles = random_angles(g, p, seed=29)
+
+    def calls():
+        first = expectation_and_gradient(g, angles)
+        for seed, h in enumerate(others):
+            expectation_and_gradient(h, random_angles(h, p, seed=seed))
+        expectation_and_gradient(g, random_angles(g, p + 1, seed=30))
+        larger = random_nonisomorphic_connected(n + 1, 1, seed=31)[0]
+        expectation_and_gradient(larger, random_angles(larger, p, seed=31))
+        return first, expectation_and_gradient(g, angles)
+
+    (value, grad), (again, grad_again) = _in_thread(calls)
+    assert value == again
+    np.testing.assert_array_equal(grad, grad_again)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_each_call_returns_a_new_gradient(p):
+    """BFGS keeps a gradient across calls, so no later call may write it."""
+    g = _ring_graph(6)
+    _, first = expectation_and_gradient(g, random_angles(g, p, seed=32))
+    kept = first.copy()
+    _, second = expectation_and_gradient(g, random_angles(g, p, seed=33))
+    assert not np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, kept)
+
+
+def test_run_circuit_returns_a_new_state():
+    """Below the split run_circuit runs in the adjoint's workspace: the state
+    it returns is a copy, which later calls on that workspace leave as it was."""
+    g = _ring_graph(6)
+    angles = random_angles(g, 2, seed=40)
+    state = run_circuit(g, angles)
+    kept = state.copy()
+    expectation_and_gradient(g, random_angles(g, 2, seed=41))
+    again = run_circuit(g, random_angles(g, 2, seed=42))
+    assert not np.shares_memory(state, again)
+    np.testing.assert_array_equal(state, kept)
+    np.testing.assert_array_equal(run_circuit(g, angles), kept)
+
+
+def test_threads_get_their_own_workspaces():
+    """Four threads, more than this box's cores, calling at n = 8, p = 3 on
+    their own graphs with a 1 us switch interval, get the bits of serial
+    calls: a workspace shared between threads would mix their states."""
+    graphs = random_nonisomorphic_connected(8, 4, seed=34)
+    angles = [[random_angles(g, 3, seed=35 + k) for k in range(20)] for g in graphs]
+    serial = [[expectation_and_gradient(g, a) for a in batch] for g, batch in zip(graphs, angles)]
+    results = [None] * len(graphs)
+
+    def work(i):
+        results[i] = [expectation_and_gradient(graphs[i], a) for a in angles[i]]
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(graphs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for expected, got in zip(serial, results):
+        assert got is not None and len(got) == len(expected)
+        for (value, grad), (ref_value, ref_grad) in zip(got, expected):
+            assert value == ref_value
+            np.testing.assert_array_equal(grad, ref_grad)
+
+
+def test_a_call_above_the_split_keeps_no_workspace():
+    """At n = 16 (n - 1 > _LO_BITS) a p = 2 call builds its block of 4p + 2
+    half states and drops it: once it returns, tracemalloc holds less than
+    one half state."""
+    g = _split_graph(16)
+    angles = random_angles(g, 2, seed=36)
+    expectation_and_gradient(g, angles)  # fill the per-graph caches
+    tracemalloc.start()
+    try:
+        value, grad = expectation_and_gradient(g, angles)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    half = 16 << (g.n - 1)
+    assert peak >= (4 * 2 + 2) * half  # the block was there
+    assert current < 16 << 10 < half
+    assert (g.n, 2) not in _WORKSPACES.by_shape
+
+
+def test_diagonal_multiplies_allocate_nothing_above_the_split():
+    """At n = 12, p = 2 the half's index crosses the split, and the cost and
+    mixer diagonals, with their crossing groups, go row by row: no numpy
+    iterator buffer (32 KiB here) is allocated, only row views and scalars."""
+    g = _split_graph(12)
+    p = 2
+    tables, spins = _cost_tables(g), _spin_tables(g.n)
+    assert len(tables.high) > 1 and len(tables.groups) and len(spins.groups)
+    phases = _Phases(tables, spins, np.empty((p, tables.width + spins.width)))
+    phases.fill(tables, spins, random_angles(g, p, seed=37))
+    state = np.ones(1 << (g.n - 1), dtype=np.complex128)
+    out = np.empty_like(state)
+    calls = [
+        diagonal.step(state, factors[layer], out)
+        for diagonal, factors in ((tables, phases.cost), (spins, phases.mix))
+        for layer in range(p)
+    ]
+    _run(calls)
+    tracemalloc.start()
+    try:
+        _run(calls)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 10
+
+
+@pytest.mark.parametrize("g", [_ring_graph(8)] + SPLIT_GRAPHS[:2], ids=lambda g: f"n{g.n}")
+def test_phase_factors_are_the_bits_of_the_complex_exp(g):
+    """cos(arg) and -sin(arg) give exp(-1j * arg) to the bit, at random
+    angles and at the pi/8 multiples the rounded starts use."""
+    tables, spins = _cost_tables(g), _spin_tables(g.n)
+    rng = np.random.default_rng(38)
+    for angles in (random_angles(g, 3, seed=39), AngleVector(
+        rng.integers(-8, 9, (3, g.edge_count)) * np.pi / 8,
+        rng.integers(-8, 9, (3, g.n)) * np.pi / 8,
+    )):
+        phases = _Phases(tables, spins, np.empty((angles.p, tables.width + spins.width)))
+        phases.fill(tables, spins, angles)
+        for diagonal, layers, factors in (
+            (tables, angles.gamma, phases.cost), (spins, angles.beta, phases.mix)
+        ):
+            arg = np.zeros(factors.shape)
+            diagonal.arguments(layers, arg)
+            np.testing.assert_array_equal(
+                factors.view(np.uint64), np.exp(-1j * arg).view(np.uint64)
+            )
 
 
 # ----- the closed form at one layer -----
