@@ -176,7 +176,10 @@ def bfgs_maximize(
         calls += 1
         value, grad = objective(z)
         grad = np.asarray(grad, dtype=np.float64)
-        if not math.isfinite(value) or not np.isfinite(grad).all():
+        # grad . grad is finite when every entry is, and a nan or an infinity
+        # in it raises no numpy warning; it overflows, with a warning, only
+        # past a norm of 1e154, where the loop's own dots overflow too
+        if not math.isfinite(value) or not (math.isfinite(grad.dot(grad)) or np.isfinite(grad).all()):
             raise NumericalError(f"non-finite objective output at point {z!r}")
         return -float(value), -grad
 
@@ -255,11 +258,11 @@ def optimize_angles(
     nv = g.n
 
     def objective(flat):
-        # views, not copies, which AngleVector keeps as they are: the
+        # unchecked views of a point shaped like the validated start: the
         # optimizer never writes to a point it has evaluated, it only builds
         # new ones, and the oracle never writes its angles
         layers = flat.reshape(p, m + nv)
-        return expectation_and_gradient(g, AngleVector(layers[:, :m], layers[:, m:]))
+        return expectation_and_gradient(g, AngleVector._unchecked(layers[:, :m], layers[:, m:]))
 
     result = bfgs_maximize(objective, start.flatten(), config)
     final = AngleVector.unflatten(result.final_angles, p, m, nv)

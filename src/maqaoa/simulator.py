@@ -76,8 +76,8 @@ class AngleVector:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        gamma = _layers(self.gamma)
-        beta = _layers(self.beta)
+        gamma = np.atleast_2d(np.asarray(self.gamma, dtype=np.float64))
+        beta = np.atleast_2d(np.asarray(self.beta, dtype=np.float64))
         if gamma.ndim != 2 or beta.ndim != 2:
             raise ValueError("gamma and beta must be 2-D (layers, angles)")
         if gamma.shape[0] != beta.shape[0]:
@@ -88,6 +88,14 @@ class AngleVector:
             raise ValueError("at least one layer is required")
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "beta", beta)
+
+    @classmethod
+    def _unchecked(cls, gamma: np.ndarray, beta: np.ndarray) -> "AngleVector":
+        """gamma and beta as they are, float64 (p, edges) and (p, vertices)
+        with p >= 1, unchecked: for views of a point already validated."""
+        vector = object.__new__(cls)
+        vector.__dict__.update(gamma=gamma, beta=beta)
+        return vector
 
     @property
     def p(self) -> int:
@@ -114,13 +122,6 @@ class AngleVector:
             )
         layers = flat.reshape(p, width)
         return cls(layers[:, :edge_count].copy(), layers[:, edge_count:].copy())
-
-
-def _layers(angles) -> np.ndarray:
-    """angles as a float64 array of at least two dimensions, not copied if it is one."""
-    if type(angles) is np.ndarray and angles.ndim == 2 and angles.dtype == np.float64:
-        return angles  # the optimizer's per-point views
-    return np.atleast_2d(np.asarray(angles, dtype=np.float64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,20 +181,27 @@ class _CostTables:
         high = len(self.high) if len(self.high) > 1 else 0
         return len(self.low) * (1 + len(self.groups)) + high
 
-    def arguments(self, angles: np.ndarray, arg: np.ndarray) -> None:
-        """low @ a, high @ a, then each group's flip argument, for every row a
-        of angles, into that row of arg, a float (rows, width) table whose
-        every entry is written; see _Phases for their factors.
+    def arguments(self, angles: np.ndarray, arg: np.ndarray) -> list[tuple]:
+        """The calls that write low @ a, high @ a, then each group's flip
+        argument, for every row a of angles as it holds when they run, into
+        that row of arg, a float (rows, width) table whose every entry is
+        written; see _Phases for their factors.
 
-        One stack of per-layer products per part (see _matmul).
+        As in step, for a = 0 they are numpy calls, which hold nothing of
+        the tables but `low`.
         """
+        if len(self.high) == 1:
+            return _matmul(angles[:, None, :], self.low.T, arg[:, None, :])
+        return [(self._arguments, (angles, arg))]
+
+    def _arguments(self, angles: np.ndarray, arg: np.ndarray) -> None:
+        """One stack of per-layer products per part (see _matmul)."""
         b = len(self.low)
         width = b + len(self.high)
         layers = angles[:, None, :]
-        _matmul(layers, self.low.T, arg[:, None, :b])
-        if len(self.high) > 1:
-            _matmul(layers, self.high.T, arg[:, None, b:width])
-            _matmul(self.groups * (-2.0 * layers), self.low.T, arg[:, width:].reshape(len(arg), -1, b))
+        _run(_matmul(layers, self.low.T, arg[:, None, :b]))
+        _run(_matmul(layers, self.high.T, arg[:, None, b:width]))
+        _run(_matmul(self.groups * (-2.0 * layers), self.low.T, arg[:, width:].reshape(len(arg), -1, b)))
 
     def step(self, state: np.ndarray, factors: np.ndarray, out: np.ndarray) -> tuple:
         """The call that multiplies one state by one layer's diagonal, into
@@ -221,38 +229,42 @@ class _CostTables:
             for h in groups:
                 np.multiply(row, flips[h], out=row)
 
-    def contract(self, w: np.ndarray, out: np.ndarray) -> None:
-        """Per row and term, the sum of a real 2^(a + b) row of w weighted by that term.
+    def contract(self, w: np.ndarray, out: np.ndarray) -> list[tuple]:
+        """The calls that write, per row and term, the sum of a real
+        2^(a + b) row of w weighted by that term, into out, as w holds when
+        they run. w is (rows, 2^(a + b)), out (rows, terms).
 
-        w is (rows, 2^(a + b)), out (rows, terms).
+        As in step, for a = 0 they are numpy calls, which hold nothing of
+        the tables but `low`.
         """
         if len(self.high) == 1:
-            _matmul(w, self.low, out)
-            return
+            return _matmul(w, self.low, out)
+        return [(self._contract, (w, out))]
+
+    def _contract(self, w: np.ndarray, out: np.ndarray) -> None:
         w = w.reshape(len(w), len(self.high), len(self.low))
-        _matmul(w.sum(axis=1), self.low, out)
+        _run(_matmul(w.sum(axis=1), self.low, out))
         high = np.empty_like(out)
-        _matmul(w.sum(axis=2), self.high, high)
+        _run(_matmul(w.sum(axis=2), self.high, high))
         out += high
         # per group, the sum of w over its flipped rows, then weighted by the terms
         flipped = np.empty((len(w), len(self.flips), len(self.low)))
-        _matmul(self.flips.astype(np.float64), w, flipped)
+        _run(_matmul(self.flips.astype(np.float64), w, flipped))
         weighted = np.empty(flipped.shape[:2] + out.shape[1:])  # (rows, groups, terms)
-        _matmul(flipped, self.low, weighted)
+        _run(_matmul(flipped, self.low, weighted))
         weighted *= self.groups
         out -= 2.0 * weighted.sum(axis=1)
 
 
-def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> None:
-    """x @ y into out, one np.matmul per group of y's columns: each product
-    is at most _PRODUCT_SIZE multiply-adds as long as x's trailing
-    (rows, inner) slice is. A product within the bound is one call."""
+def _matmul(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> list[tuple]:
+    """The calls that write x @ y into out, one np.matmul per group of y's
+    columns: each product is at most _PRODUCT_SIZE multiply-adds as long as
+    x's trailing (rows, inner) slice is. A product within the bound is one call."""
     step = max(1, _PRODUCT_SIZE // max(1, x.shape[-1] * (x.shape[-2] if x.ndim > 1 else 1)))
     if step >= y.shape[-1]:
-        np.matmul(x, y, out=out)
-        return
-    for j in range(0, y.shape[-1], step):
-        np.matmul(x, y[..., j:j + step], out=out[..., j:j + step])
+        return [(np.matmul, (x, y, out))]
+    return [(np.matmul, (x, y[..., j:j + step], out[..., j:j + step]))
+            for j in range(0, y.shape[-1], step)]
 
 
 def _dot(dot, x: np.ndarray, y: np.ndarray):
@@ -384,8 +396,9 @@ class _Block:
     H^n is one product call per chunk of _chunk_layout on the float view
     (2 doubles per amplitude), shaped once per chunk, so a transform only
     indexes rows. A chunk small enough for one product has one 2-D slice
-    per row, which np.dot multiplies with less dispatch than np.matmul's
-    stacks.
+    per row, which ndarray.dot multiplies with less dispatch than
+    np.matmul's stacks, and than np.dot, which first calls its Python
+    dispatcher.
     """
 
     def __init__(self, rows: int, n: int) -> None:
@@ -399,7 +412,7 @@ class _Block:
             view = floats.reshape(rows, *shape)
             if swap:
                 view = view.swapaxes(-3, -2)
-            product = np.dot if view.ndim == 3 else np.matmul
+            product = np.ndarray.dot if view.ndim == 3 else np.matmul
             matrix = _hadamard(k) if left else _pair_hadamard(k)
             self._chunks.append((product, matrix, left, view))
 
@@ -509,51 +522,52 @@ class _Phases:
     """The phase factors of p layers of the cost and the mixer, side by side.
 
     `cost` and `mix` are the (p, width) halves of one complex table, each
-    row a layer: exp(-1j * arg) of the arguments that `fill` writes to
-    `arg`, a float table of the same shape that the caller provides (see
-    _CostTables.arguments), built as cos(arg) and -sin(arg), which are the
-    same bits with no complex exp. Conjugated, the factors undo their layers.
+    row a layer: exp(-1j * arg) of the arguments that `calls` write to
+    `arg`, a float table of the same shape that the caller provides, from
+    gamma and beta as they hold when the calls run (see
+    _CostTables.arguments). The factors are built as cos(arg) and
+    -sin(arg), which are the same bits with no complex exp. Conjugated,
+    they undo their layers.
     """
 
-    def __init__(self, tables: _CostTables, spins: _CostTables, arg: np.ndarray) -> None:
+    def __init__(
+        self, tables: _CostTables, spins: _CostTables, gamma: np.ndarray, beta: np.ndarray,
+        arg: np.ndarray,
+    ) -> None:
         width = tables.width
         self.table = np.empty(arg.shape, dtype=np.complex128)
         self.cost, self.mix = self.table[:, :width], self.table[:, width:]
-        self._arguments = arg[:, :width], arg[:, width:]
         sines = self.table.imag
-        self._exp = (
+        self.calls = [
+            *tables.arguments(gamma, arg[:, :width]),
+            *spins.arguments(beta, arg[:, width:]),
             (np.cos, (arg, self.table.real)),
             (np.sin, (arg, sines)),
             (np.negative, (sines, sines)),
-        )
-
-    def fill(self, tables: _CostTables, spins: _CostTables, angles: AngleVector) -> None:
-        cost, mix = self._arguments
-        tables.arguments(angles.gamma, cost)
-        spins.arguments(angles.beta, mix)
-        _run(self._exp)
+        ]
 
 
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     """Full circuit: plus state, then per layer all edge phases, all rotations.
 
     While the half state fits the low split (n - 1 <= _LO_BITS) the circuit
-    runs in the calling thread's workspace for (n, p), as the adjoint's
-    forward pass does, and its final half and that half mirrored are copied
-    into the array returned. Above it, the circuit runs in the first half
-    of the array returned, through the second, which then mirrors the
-    first: a call holds one full state.
+    runs in the calling thread's plan for (g, p), as the adjoint's forward
+    pass does, and its final half and that half mirrored are copied into
+    the array returned. Above it, the circuit runs in the first half of the
+    array returned, through the second, which then mirrors the first: a
+    call holds one full state.
     """
     _check_angles(g, angles)
+    if g.n - 1 <= _LO_BITS:
+        plan = _plan(g, angles.p)
+        plan.run_forward(angles)
+        return np.concatenate((plan.final, plan.final[::-1]))
     tables = _cost_tables(g)
     spins = _spin_tables(g.n)
-    if g.n - 1 <= _LO_BITS:
-        ws = _workspace(tables, spins, g.n, angles.p)
-        ws.phases.fill(tables, spins, angles)
-        _run(ws.forward)
-        return np.concatenate((ws.final, ws.final[::-1]))
-    phases = _Phases(tables, spins, np.empty((angles.p, tables.width + spins.width)))
-    phases.fill(tables, spins, angles)
+    phases = _Phases(
+        tables, spins, angles.gamma, angles.beta, np.empty((angles.p, tables.width + spins.width))
+    )
+    _run(phases.calls)
     cost, mix = phases.cost, phases.mix
     del phases  # its float arguments go before the block is allocated
     block = _Block(2, g.n - 1)
@@ -656,7 +670,7 @@ class _LightCone:
         return float(value), np.bincount(self.columns.ravel(), slopes.ravel(), len(theta))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _light_cone(g: Graph) -> _LightCone:
     m = g.edge_count
     edge_at = {}
@@ -724,23 +738,25 @@ def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.n
     return _adjoint(g, angles)
 
 
-class _Workspace:
-    """The buffers of the adjoint sweep on one (n, p), with its calls bound.
+class _Plan:
+    """The adjoint sweep of one graph at p layers, with every numpy call bound.
 
     Its block holds 4p + 2 half states: the forward pass keeps the ket in
     rows 0 .. 2p - 1, the backward pass the bra in rows 2p .. 4p - 1, and
     rows 4p (`bra`) and 4p + 1 (`final`) are the bra and the work row.
-    `phases` holds the factor tables, filled per call from arguments in
-    the bras' rows. `forward` runs the circuit into `final`; `backward`
-    steps the bra from `bra` back through the layers and leaves each
-    layer's product conj(bra) * ket, whose imaginary parts `cost_weights`
-    and `mix_weights` hold the gradient's weights. Where the half's index
-    does not cross the split (a = 0) every call is a bare numpy call on
-    these buffers and holds nothing of the graph, so one workspace serves
-    every graph of its (n, p).
+    `run_forward` copies a call's angles into `gamma` and `beta`, views of
+    one (p, m + n) buffer, and runs `forward`: the argument products into
+    the bras' rows, the phase factors, and the circuit into `final`.
+    `backward` steps the bra from `bra` back through the layers, takes each
+    layer's product conj(bra) * ket, and contracts its imaginary parts into
+    `grad`, flat, a quarter of the gradient. No call refers to the plan, so
+    one built per call is freed as soon as it is dropped.
     """
 
-    def __init__(self, tables: _CostTables, spins: _CostTables, n: int, p: int) -> None:
+    def __init__(self, g: Graph, p: int) -> None:
+        m, n = g.edge_count, g.n
+        tables, spins = _cost_tables(g), _spin_tables(n)
+        self.cuts = _half_cuts(g)
         block = _Block(4 * p + 2, n - 1)
         states = block.states
         kets, bras = states[:2 * p], states[2 * p:4 * p]
@@ -748,13 +764,15 @@ class _Workspace:
         # built, so their rows hold the phases' arguments: p * width floats
         # of p * 2^(n + 1), each table's width being at most 2^n
         arg = bras.view(np.float64).reshape(-1)[:p * (tables.width + spins.width)]
-        phases = self.phases = _Phases(tables, spins, arg.reshape(p, -1))
+        angles = np.empty((p, m + n))
+        self.gamma, self.beta = angles[:, :m], angles[:, m:]
+        phases = _Phases(tables, spins, self.gamma, self.beta, arg.reshape(p, -1))
         cost, mix = phases.cost, phases.mix
         bra, spare = 4 * p, 4 * p + 1
         self.bra, self.final = states[bra], states[spare]
         # the final state lands in the backward pass's spare row, and the
         # forward pass works through the bra's row
-        self.forward = _forward(block, tables, spins, cost, mix, 2 * p, spare, bra)
+        self.forward = phases.calls + _forward(block, tables, spins, cost, mix, 2 * p, spare, bra)
         # conjugated, the factors undo their layers
         calls = [(np.conjugate, (phases.table, phases.table))]
         for layer in reversed(range(p)):
@@ -766,33 +784,46 @@ class _Workspace:
                 # states below layer 0 are never read, skip the last undo
                 calls.append(tables.step(states[after_cost], cost[layer], states[bra]))
         calls += [(np.conjugate, (bras, bras)), (np.multiply, (bras, kets, bras))]
+        self.grad = np.empty(p * (m + n))
+        w, grad = bras.imag, self.grad.reshape(p, m + n)
+        calls += tables.contract(w[0::2], grad[:, :m]) + spins.contract(w[1::2], grad[:, m:])
         self.backward = calls
-        w = bras.imag
-        self.cost_weights, self.mix_weights = w[0::2], w[1::2]
+
+    def run_forward(self, angles: AngleVector) -> None:
+        # two copies into prebound views take a third of np.concatenate's time
+        self.gamma[...] = angles.gamma
+        self.beta[...] = angles.beta
+        _run(self.forward)
 
 
-class _Workspaces(threading.local):
-    """Each thread's workspaces, by (n, p)."""
+class _Plans(threading.local):
+    """Each thread's plans, by graph and then p."""
 
     def __init__(self) -> None:
-        self.by_shape: dict[tuple[int, int], _Workspace] = {}
+        self.by_graph: dict[Graph, dict[int, _Plan]] = {}
 
 
-_WORKSPACES = _Workspaces()
+_PLANS = _Plans()
 
 
-def _workspace(tables: _CostTables, spins: _CostTables, n: int, p: int) -> _Workspace:
-    """The calling thread's workspace for (n, p), kept while the half state
-    fits the low split: at n = 11, p = 3, 224 KiB of half states and 96 KiB
-    of phase tables. A larger one holds the graph's crossing terms and is
-    built per call."""
-    if n - 1 > _LO_BITS:
-        return _Workspace(tables, spins, n, p)
-    kept = _WORKSPACES.by_shape
-    workspace = kept.get((n, p))
-    if workspace is None:
-        workspace = kept[n, p] = _Workspace(tables, spins, n, p)
-    return workspace
+def _plan(g: Graph, p: int) -> _Plan:
+    """The calling thread's plan for g at p layers, kept while the half state
+    fits the low split, for at most _GRAPH_CACHE_SIZE graphs, the one whose
+    plans were built first going first: at n = 11, p = 3 a plan holds
+    224 KiB of half states and 96 KiB of phase tables. Above the split a
+    plan is built per call and dropped."""
+    if g.n - 1 > _LO_BITS:
+        return _Plan(g, p)
+    kept = _PLANS.by_graph
+    plans = kept.get(g)
+    if plans is None:
+        if len(kept) == _GRAPH_CACHE_SIZE:
+            del kept[next(iter(kept))]  # the graph whose plans came first
+        plans = kept[g] = {}
+    plan = plans.get(p)
+    if plan is None:
+        plan = plans[p] = _Plan(g, p)
+    return plan
 
 
 def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
@@ -809,24 +840,12 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     forward pass's phase factors, and keeps it at the same points. All
     derivatives are then read from one product of the two blocks, one
     contraction per diagonal. A call holds 4p + 2 half states (see
-    _Workspace); every stored amplitude stands for two, so value and
-    gradient are twice the half's sums.
+    _Plan); every stored amplitude stands for two, so value and gradient
+    are twice the half's sums.
     """
-    p = angles.p
-    m = g.edge_count
-    n = g.n
-    tables = _cost_tables(g)
-    spins = _spin_tables(n)
-    ws = _workspace(tables, spins, n, p)
-    ws.phases.fill(tables, spins, angles)
-    _run(ws.forward)
-    np.multiply(_half_cuts(g), ws.final, out=ws.bra)
-    value = 2.0 * float(_dot(np.vdot, ws.final, ws.bra).real)
-    _run(ws.backward)
-    cost_weights, mix_weights = ws.cost_weights, ws.mix_weights
-    del ws  # unless kept, its phase tables go before the readouts' temporaries
-    grad = np.empty((p, m + n), dtype=np.float64)
-    tables.contract(cost_weights, grad[:, :m])
-    spins.contract(mix_weights, grad[:, m:])
-    grad *= 4.0
-    return value, grad.ravel()
+    plan = _plan(g, angles.p)
+    plan.run_forward(angles)
+    np.multiply(plan.cuts, plan.final, out=plan.bra)
+    value = 2.0 * float(_dot(np.vdot, plan.final, plan.bra).real)
+    _run(plan.backward)
+    return value, 4.0 * plan.grad

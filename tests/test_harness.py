@@ -169,6 +169,23 @@ def test_run_is_deterministic_modulo_wall_time():
     assert rows_without_wall_time(a) == rows_without_wall_time(b)
 
 
+def test_run_reproduces_the_golden_records():
+    """The committed run, again: ids, seeds, strategies and `converged`
+    exactly, the two ratios to 1e-9. The angles and the two counts are left
+    out, since their low digits follow the BLAS build's rounding."""
+    records = run_experiment(RunConfig("builtin:n4", p_values=(1, 2), replicates=2, seed=1))
+    with open(GOLDEN / "records.csv", newline="") as f:
+        expected = list(csv.DictReader(f))
+    assert len(records) == len(expected)
+    for record, want in zip(records, expected):
+        got = dict(zip(CSV_HEADER, record.to_row()))
+        for name in ("graph_id", "n", "edge_count", "edges", "p", "strategy", "replicate",
+                     "seed", "converged"):
+            assert got[name] == want[name], (name, want)
+        for name in ("initial_ar", "final_ar"):
+            assert abs(float(got[name]) - float(want[name])) <= 1e-9, (name, want)
+
+
 def test_normal_p3_saturates_four_vertex_graphs():
     config = RunConfig(
         dataset="builtin:n4", p_values=(3,), strategies=("normal",), seed=0

@@ -21,14 +21,16 @@ from maqaoa import (
 from maqaoa.graphs import MAX_VERTICES
 from maqaoa.simulator import (
     _DOT_SIZE,
+    _GRAPH_CACHE_SIZE,
     _LO_BITS,
     _PRODUCT_SIZE,
-    _WORKSPACES,
+    _PLANS,
     _Block,
     _Phases,
     _adjoint,
     _chunk_layout,
     _cost_tables,
+    _half_cuts,
     _light_cone,
     _run,
     _spin_tables,
@@ -581,8 +583,8 @@ def test_blas_calls_stay_under_the_thresholds(monkeypatch):
     angles = random_angles(complete, 2, seed=24)
     w = np.zeros((2, 1 << n - 1))  # only read: its pages stay the kernel's zero page
     for tables, layers in ((cost, angles.gamma), (_spin_tables.__wrapped__(n), angles.beta)):
-        tables.arguments(layers, np.zeros((len(layers), tables.width)))
-        tables.contract(w, np.empty(layers.shape))
+        _run(tables.arguments(layers, np.zeros((len(layers), tables.width))))
+        _run(tables.contract(w, np.empty(layers.shape)))
     assert max(products) <= _PRODUCT_SIZE
     assert max(dots) <= _DOT_SIZE
 
@@ -713,10 +715,10 @@ def test_expectation_adds_only_chunk_temporaries():
     assert peak <= 4 * 8 * _DOT_SIZE + (16 << 10)
 
 
-# ----- the adjoint's workspaces -----
+# ----- the adjoint's plans -----
 
 def _in_thread(target, timeout: float = 120.0):
-    """target() run in a new thread, whose workspaces start empty; its
+    """target() run in a new thread, whose plans start empty; its
     result, or the exception it raised."""
     outcome = []
 
@@ -738,9 +740,9 @@ def _in_thread(target, timeout: float = 120.0):
 
 @pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (_LO_BITS + 1, 2)])
 def test_workspace_reuse_keeps_the_bits(n, p):
-    """A call's value and gradient are the same bits on a fresh workspace
-    and after that workspace has served other graphs of its (n, p), and
-    other (n, p) have been served too."""
+    """A call's value and gradient are the same bits on a fresh plan and
+    after other graphs of its (n, p), its graph at another p, and another n
+    have been served too."""
     g, *others = random_nonisomorphic_connected(n, 3, seed=28)
     angles = random_angles(g, p, seed=29)
 
@@ -758,6 +760,44 @@ def test_workspace_reuse_keeps_the_bits(n, p):
     np.testing.assert_array_equal(grad, grad_again)
 
 
+def test_calls_alternating_between_plans_keep_the_bits():
+    """Calls that alternate between K4, C4 and the paw (C4's edge count) at
+    p = 2, and on C4 between p = 2 and 3, each return the bits of that
+    input's call in a thread of its own: each graph and depth runs in a
+    plan of its own."""
+    k4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    c4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+    inputs = [(g, random_angles(g, p, seed=43 + k))
+              for k, (g, p) in enumerate(((k4, 2), (c4, 2), (paw, 2), (c4, 3)))]
+
+    def bits(g, angles):
+        value, grad = expectation_and_gradient(g, angles)
+        return np.float64(value).view(np.uint64), grad.view(np.uint64).tolist()
+
+    alone = [_in_thread(lambda: bits(g, a)) for g, a in inputs]
+    rounds = _in_thread(lambda: [[bits(g, a) for g, a in inputs] for _ in range(3)])
+    assert all(round_ == alone for round_ in rounds)
+
+
+def test_a_thread_keeps_plans_for_at_most_the_graph_cache_size():
+    """After p = 2 and 3 calls on 2 * _GRAPH_CACHE_SIZE 6-vertex graphs, the
+    thread holds plans for at most _GRAPH_CACHE_SIZE graphs, the last one
+    called among them; the per-graph tables are bounded alike."""
+    graphs = random_nonisomorphic_connected(6, 2 * _GRAPH_CACHE_SIZE, seed=46)
+
+    def calls():
+        for k, g in enumerate(graphs):
+            expectation_and_gradient(g, random_angles(g, 2 + k % 2, seed=k))
+        return dict(_PLANS.by_graph)
+
+    kept = _in_thread(calls)
+    assert 0 < len(kept) <= _GRAPH_CACHE_SIZE
+    assert graphs[-1] in kept
+    for cache in (_cost_tables, _half_cuts, _light_cone):
+        assert cache.cache_info().maxsize == _GRAPH_CACHE_SIZE
+
+
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_each_call_returns_a_new_gradient(p):
     """BFGS keeps a gradient across calls, so no later call may write it."""
@@ -770,8 +810,8 @@ def test_each_call_returns_a_new_gradient(p):
 
 
 def test_run_circuit_returns_a_new_state():
-    """Below the split run_circuit runs in the adjoint's workspace: the state
-    it returns is a copy, which later calls on that workspace leave as it was."""
+    """Below the split run_circuit runs in the adjoint's plan: the state it
+    returns is a copy, which later calls on that plan leave as it was."""
     g = _ring_graph(6)
     angles = random_angles(g, 2, seed=40)
     state = run_circuit(g, angles)
@@ -786,7 +826,7 @@ def test_run_circuit_returns_a_new_state():
 def test_threads_get_their_own_workspaces():
     """Four threads, more than this box's cores, calling at n = 8, p = 3 on
     their own graphs with a 1 us switch interval, get the bits of serial
-    calls: a workspace shared between threads would mix their states."""
+    calls: a plan shared between threads would mix their states."""
     graphs = random_nonisomorphic_connected(8, 4, seed=34)
     angles = [[random_angles(g, 3, seed=35 + k) for k in range(20)] for g in graphs]
     serial = [[expectation_and_gradient(g, a) for a in batch] for g, batch in zip(graphs, angles)]
@@ -829,7 +869,7 @@ def test_a_call_above_the_split_keeps_no_workspace():
     half = 16 << (g.n - 1)
     assert peak >= (4 * 2 + 2) * half  # the block was there
     assert current < 16 << 10 < half
-    assert (g.n, 2) not in _WORKSPACES.by_shape
+    assert g not in _PLANS.by_graph
 
 
 def test_diagonal_multiplies_allocate_nothing_above_the_split():
@@ -840,8 +880,9 @@ def test_diagonal_multiplies_allocate_nothing_above_the_split():
     p = 2
     tables, spins = _cost_tables(g), _spin_tables(g.n)
     assert len(tables.high) > 1 and len(tables.groups) and len(spins.groups)
-    phases = _Phases(tables, spins, np.empty((p, tables.width + spins.width)))
-    phases.fill(tables, spins, random_angles(g, p, seed=37))
+    angles = random_angles(g, p, seed=37)
+    phases = _Phases(tables, spins, angles.gamma, angles.beta, np.empty((p, tables.width + spins.width)))
+    _run(phases.calls)
     state = np.ones(1 << (g.n - 1), dtype=np.complex128)
     out = np.empty_like(state)
     calls = [
@@ -869,13 +910,15 @@ def test_phase_factors_are_the_bits_of_the_complex_exp(g):
         rng.integers(-8, 9, (3, g.edge_count)) * np.pi / 8,
         rng.integers(-8, 9, (3, g.n)) * np.pi / 8,
     )):
-        phases = _Phases(tables, spins, np.empty((angles.p, tables.width + spins.width)))
-        phases.fill(tables, spins, angles)
+        phases = _Phases(
+            tables, spins, angles.gamma, angles.beta, np.empty((angles.p, tables.width + spins.width))
+        )
+        _run(phases.calls)
         for diagonal, layers, factors in (
             (tables, angles.gamma, phases.cost), (spins, angles.beta, phases.mix)
         ):
             arg = np.zeros(factors.shape)
-            diagonal.arguments(layers, arg)
+            _run(diagonal.arguments(layers, arg))
             np.testing.assert_array_equal(
                 factors.view(np.uint64), np.exp(-1j * arg).view(np.uint64)
             )
