@@ -754,6 +754,7 @@ class _Plan:
     """
 
     def __init__(self, g: Graph, p: int) -> None:
+        self.graph, self.p = g, p
         m, n = g.edge_count, g.n
         tables, spins = _cost_tables(g), _spin_tables(n)
         self.cuts = _half_cuts(g)
@@ -796,33 +797,22 @@ class _Plan:
         _run(self.forward)
 
 
-class _Plans(threading.local):
-    """Each thread's plans, by graph and then p."""
-
-    def __init__(self) -> None:
-        self.by_graph: dict[Graph, dict[int, _Plan]] = {}
-
-
-_PLANS = _Plans()
+# the calling thread's last plan below the split: a BFGS run makes every
+# call on one graph and p, and the harness runs a graph's cells back to back
+_LAST = threading.local()
 
 
 def _plan(g: Graph, p: int) -> _Plan:
-    """The calling thread's plan for g at p layers, kept while the half state
-    fits the low split, for at most _GRAPH_CACHE_SIZE graphs, the one whose
-    plans were built first going first: at n = 11, p = 3 a plan holds
-    224 KiB of half states and 96 KiB of phase tables. Above the split a
-    plan is built per call and dropped."""
+    """The calling thread's plan for g at p layers. While the half state fits
+    the low split the thread keeps its last plan, and a call on another graph
+    or p replaces it, freeing it: at n = 11, p = 3 a plan holds 224 KiB of
+    half states and 96 KiB of phase tables. Above the split a plan is built
+    per call and dropped."""
     if g.n - 1 > _LO_BITS:
         return _Plan(g, p)
-    kept = _PLANS.by_graph
-    plans = kept.get(g)
-    if plans is None:
-        if len(kept) == _GRAPH_CACHE_SIZE:
-            del kept[next(iter(kept))]  # the graph whose plans came first
-        plans = kept[g] = {}
-    plan = plans.get(p)
-    if plan is None:
-        plan = plans[p] = _Plan(g, p)
+    plan = getattr(_LAST, "plan", None)
+    if plan is None or plan.p != p or (plan.graph is not g and plan.graph != g):
+        plan = _LAST.plan = _Plan(g, p)
     return plan
 
 

@@ -26,7 +26,10 @@ def normalize_angle(values) -> np.ndarray:
     A scalar angle gives a numpy.float64, which is a Python float.
     """
     values = np.asarray(values, dtype=np.float64)
-    return values - 2.0 * np.pi * np.floor((values + np.pi) / (2.0 * np.pi))
+    out = values - 2.0 * np.pi * np.floor((values + np.pi) / (2.0 * np.pi))
+    # just below an odd multiple of pi, values + pi can round up to the next
+    # multiple of 2 pi, and the floor then steps one turn too far
+    return np.where(out < -np.pi, out + 2.0 * np.pi, out)[()]
 
 
 def round_to_pi8(values) -> np.ndarray:

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from maqaoa.simulator import (
     _GRAPH_CACHE_SIZE,
     _LO_BITS,
     _PRODUCT_SIZE,
-    _PLANS,
+    _LAST,
     _Block,
     _Phases,
     _adjoint,
@@ -718,8 +719,8 @@ def test_expectation_adds_only_chunk_temporaries():
 # ----- the adjoint's plans -----
 
 def _in_thread(target, timeout: float = 120.0):
-    """target() run in a new thread, whose plans start empty; its
-    result, or the exception it raised."""
+    """target() run in a new thread, which starts with no plan; its result,
+    or the exception it raised."""
     outcome = []
 
     def run():
@@ -739,7 +740,7 @@ def _in_thread(target, timeout: float = 120.0):
 
 
 @pytest.mark.parametrize("n, p", [(4, 2), (8, 3), (_LO_BITS + 1, 2)])
-def test_workspace_reuse_keeps_the_bits(n, p):
+def test_plan_reuse_keeps_the_bits(n, p):
     """A call's value and gradient are the same bits on a fresh plan and
     after other graphs of its (n, p), its graph at another p, and another n
     have been served too."""
@@ -780,20 +781,32 @@ def test_calls_alternating_between_plans_keep_the_bits():
     assert all(round_ == alone for round_ in rounds)
 
 
-def test_a_thread_keeps_plans_for_at_most_the_graph_cache_size():
-    """After p = 2 and 3 calls on 2 * _GRAPH_CACHE_SIZE 6-vertex graphs, the
-    thread holds plans for at most _GRAPH_CACHE_SIZE graphs, the last one
-    called among them; the per-graph tables are bounded alike."""
-    graphs = random_nonisomorphic_connected(6, 2 * _GRAPH_CACHE_SIZE, seed=46)
+def test_a_thread_keeps_one_plan_its_last():
+    """Consecutive calls on C4 at p = 2 run in one plan; a call on the paw
+    (C4's edge count), and then on the paw at p = 3, each free the plan
+    before it. The per-graph tables stay bounded by _GRAPH_CACHE_SIZE."""
+    c4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
+    paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+    def plan_after(g, p, seed):
+        expectation_and_gradient(g, random_angles(g, p, seed=seed))
+        return _LAST.plan
 
     def calls():
-        for k, g in enumerate(graphs):
-            expectation_and_gradient(g, random_angles(g, 2 + k % 2, seed=k))
-        return dict(_PLANS.by_graph)
+        first = plan_after(c4, 2, 0)
+        reused = plan_after(c4, 2, 1) is first
+        before = weakref.ref(first)
+        del first
+        other = plan_after(paw, 2, 2)
+        graph_freed = before() is None
+        before = weakref.ref(other)
+        del other
+        plan_after(paw, 3, 3)
+        return reused, graph_freed, before() is None
 
-    kept = _in_thread(calls)
-    assert 0 < len(kept) <= _GRAPH_CACHE_SIZE
-    assert graphs[-1] in kept
+    reused, graph_freed, depth_freed = _in_thread(calls)
+    assert reused
+    assert graph_freed and depth_freed
     for cache in (_cost_tables, _half_cuts, _light_cone):
         assert cache.cache_info().maxsize == _GRAPH_CACHE_SIZE
 
@@ -823,7 +836,7 @@ def test_run_circuit_returns_a_new_state():
     np.testing.assert_array_equal(run_circuit(g, angles), kept)
 
 
-def test_threads_get_their_own_workspaces():
+def test_threads_get_their_own_plans():
     """Four threads, more than this box's cores, calling at n = 8, p = 3 on
     their own graphs with a 1 us switch interval, get the bits of serial
     calls: a plan shared between threads would mix their states."""
@@ -853,10 +866,10 @@ def test_threads_get_their_own_workspaces():
             np.testing.assert_array_equal(grad, ref_grad)
 
 
-def test_a_call_above_the_split_keeps_no_workspace():
-    """At n = 16 (n - 1 > _LO_BITS) a p = 2 call builds its block of 4p + 2
-    half states and drops it: once it returns, tracemalloc holds less than
-    one half state."""
+def test_a_call_above_the_split_keeps_no_plan():
+    """At n = 16 (n - 1 > _LO_BITS) a p = 2 call builds a plan, with its
+    block of 4p + 2 half states, and drops it: once it returns, tracemalloc
+    holds less than one half state, and the thread keeps no plan for g."""
     g = _split_graph(16)
     angles = random_angles(g, 2, seed=36)
     expectation_and_gradient(g, angles)  # fill the per-graph caches
@@ -869,7 +882,7 @@ def test_a_call_above_the_split_keeps_no_workspace():
     half = 16 << (g.n - 1)
     assert peak >= (4 * 2 + 2) * half  # the block was there
     assert current < 16 << 10 < half
-    assert g not in _PLANS.by_graph
+    assert getattr(_LAST, "plan", None) is None or _LAST.plan.graph != g
 
 
 def test_diagonal_multiplies_allocate_nothing_above_the_split():

@@ -38,7 +38,16 @@ def test_normalize_angle_examples():
 
 def test_normalize_angle_range_and_equivalence():
     rng = np.random.default_rng(0)
-    for theta in rng.uniform(-50, 50, 200):
+    # odd multiples of pi and their 8 float neighbours on each side, where
+    # theta + pi can round up to a multiple of 2 pi
+    odd = []
+    for j in range(-50, 50):
+        down = up = (2 * j + 1) * math.pi
+        odd.append(down)
+        for _ in range(8):
+            down, up = math.nextafter(down, -math.inf), math.nextafter(up, math.inf)
+            odd += [down, up]
+    for theta in [*rng.uniform(-50, 50, 200), *odd]:
         out = normalize_angle(theta)
         assert -math.pi <= out < math.pi
         k = (theta - out) / (2 * math.pi)
@@ -109,7 +118,8 @@ def test_round_angles_bitwise_equals_scalar_rule():
 
 def test_normalize_angle_bitwise_equals_scalar_rule():
     def reference(theta):
-        return theta - 2.0 * math.pi * math.floor((theta + math.pi) / (2.0 * math.pi))
+        out = theta - 2.0 * math.pi * math.floor((theta + math.pi) / (2.0 * math.pi))
+        return out + 2.0 * math.pi if out < -math.pi else out
 
     # signed zeros, +-pi and their float neighbours, huge magnitudes, and
     # multiples of pi/8 and of pi, where the floor can step
