@@ -550,18 +550,11 @@ class _Phases:
 def run_circuit(g: Graph, angles: AngleVector) -> StateVector:
     """Full circuit: plus state, then per layer all edge phases, all rotations.
 
-    While the half state fits the low split (n - 1 <= _LO_BITS) the circuit
-    runs in the calling thread's plan for (g, p), as the adjoint's forward
-    pass does, and its final half and that half mirrored are copied into
-    the array returned. Above it, the circuit runs in the first half of the
-    array returned, through the second, which then mirrors the first: a
-    call holds one full state.
+    The circuit runs in the first half of the array returned, through the
+    second, which then mirrors the first: a call holds one full state and
+    its phase tables, and keeps nothing.
     """
     _check_angles(g, angles)
-    if g.n - 1 <= _LO_BITS:
-        plan = _plan(g, angles.p)
-        plan.run_forward(angles)
-        return np.concatenate((plan.final, plan.final[::-1]))
     tables = _cost_tables(g)
     spins = _spin_tables(g.n)
     phases = _Phases(
@@ -744,9 +737,9 @@ class _Plan:
     Its block holds 4p + 2 half states: the forward pass keeps the ket in
     rows 0 .. 2p - 1, the backward pass the bra in rows 2p .. 4p - 1, and
     rows 4p (`bra`) and 4p + 1 (`final`) are the bra and the work row.
-    `run_forward` copies a call's angles into `gamma` and `beta`, views of
-    one (p, m + n) buffer, and runs `forward`: the argument products into
-    the bras' rows, the phase factors, and the circuit into `final`.
+    `forward` reads the angles from `gamma` and `beta`, views of one
+    (p, m + n) buffer: the argument products into the bras' rows, the phase
+    factors, and the circuit into `final`.
     `backward` steps the bra from `bra` back through the layers, takes each
     layer's product conj(bra) * ket, and contracts its imaginary parts into
     `grad`, flat, a quarter of the gradient. No call refers to the plan, so
@@ -790,24 +783,17 @@ class _Plan:
         calls += tables.contract(w[0::2], grad[:, :m]) + spins.contract(w[1::2], grad[:, m:])
         self.backward = calls
 
-    def run_forward(self, angles: AngleVector) -> None:
-        # two copies into prebound views take a third of np.concatenate's time
-        self.gamma[...] = angles.gamma
-        self.beta[...] = angles.beta
-        _run(self.forward)
 
-
-# the calling thread's last plan below the split: a BFGS run makes every
-# call on one graph and p, and the harness runs a graph's cells back to back
-_LAST = threading.local()
+_LAST = threading.local()  # the calling thread's kept plan, see _plan
 
 
 def _plan(g: Graph, p: int) -> _Plan:
     """The calling thread's plan for g at p layers. While the half state fits
-    the low split the thread keeps its last plan, and a call on another graph
-    or p replaces it, freeing it: at n = 11, p = 3 a plan holds 224 KiB of
-    half states and 96 KiB of phase tables. Above the split a plan is built
-    per call and dropped."""
+    the low split the thread keeps its last plan, as a BFGS run makes every
+    call on one graph and p and the harness runs a graph's cells back to
+    back; a call on another graph or p replaces it, freeing it: at n = 11,
+    p = 3 a plan holds 224 KiB of half states and 96 KiB of phase tables.
+    Above the split a plan is built per call and dropped."""
     if g.n - 1 > _LO_BITS:
         return _Plan(g, p)
     plan = getattr(_LAST, "plan", None)
@@ -834,7 +820,10 @@ def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
     are twice the half's sums.
     """
     plan = _plan(g, angles.p)
-    plan.run_forward(angles)
+    # two copies into prebound views take a third of np.concatenate's time
+    plan.gamma[...] = angles.gamma
+    plan.beta[...] = angles.beta
+    _run(plan.forward)
     np.multiply(plan.cuts, plan.final, out=plan.bra)
     value = 2.0 * float(_dot(np.vdot, plan.final, plan.bra).real)
     _run(plan.backward)

@@ -822,9 +822,40 @@ def test_each_call_returns_a_new_gradient(p):
     np.testing.assert_array_equal(first, kept)
 
 
+def test_run_circuit_keeps_no_plan():
+    """run_circuit builds, reads and replaces no plan: in a thread of its own
+    it leaves none at n = 4, 8 and _LO_BITS + 1, p = 1..3, and the plan an
+    oracle call on g at p = 2 leaves is still kept after run_circuit on
+    another graph, and on g at p = 3."""
+
+    def plans_after_circuits(n):
+        g = random_nonisomorphic_connected(n, 1, seed=44)[0]
+        plans = []
+        for p in (1, 2, 3):
+            run_circuit(g, random_angles(g, p, seed=45 + p))
+            plans.append(getattr(_LAST, "plan", None))
+        return plans
+
+    for n in (4, 8, _LO_BITS + 1):
+        assert _in_thread(lambda: plans_after_circuits(n)) == [None] * 3
+
+    g, other = random_nonisomorphic_connected(6, 2, seed=49)
+
+    def kept_plans():
+        expectation_and_gradient(g, random_angles(g, 2, seed=50))
+        plan = _LAST.plan
+        run_circuit(other, random_angles(other, 2, seed=51))
+        after_other = _LAST.plan
+        run_circuit(g, random_angles(g, 3, seed=52))
+        return plan, after_other, _LAST.plan
+
+    plan, after_other, after_depth = _in_thread(kept_plans)
+    assert after_other is plan and after_depth is plan
+
+
 def test_run_circuit_returns_a_new_state():
-    """Below the split run_circuit runs in the adjoint's plan: the state it
-    returns is a copy, which later calls on that plan leave as it was."""
+    """The state run_circuit returns is its own: later run_circuit and
+    oracle calls on its graph leave it as it was."""
     g = _ring_graph(6)
     angles = random_angles(g, 2, seed=40)
     state = run_circuit(g, angles)
