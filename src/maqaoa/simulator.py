@@ -596,7 +596,8 @@ def expectation(g: Graph, state: StateVector) -> float:
 
 @dataclass(frozen=True, eq=False)
 class _LightCone:
-    """The expected cut size at p = 1 in closed form, with its gradient.
+    """Called on angles, the expected cut size of `graph` at p = 1 in
+    closed form, with its gradient.
 
     Write c_x = cos 2 beta_x, s_x = sin 2 beta_x and N(x) for the neighbours
     of x. Edge (u, v) contributes <C_uv> = 1/2 - 1/2 <+|U^+ Z_u Z_v U|+>,
@@ -636,14 +637,17 @@ class _LightCone:
     starts put cosines at zero.
     """
 
+    graph: Graph
     columns: np.ndarray  # (factors, 2), indices into theta
     weights: np.ndarray  # (factors, 2), 0 for a factor of one angle
     shift: np.ndarray  # (factors,)
     index: np.ndarray  # (terms, width)
     coef: np.ndarray  # (terms,)
     offset: float  # m / 2
+    p = 1
 
-    def evaluate(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
+    def __call__(self, angles: AngleVector) -> tuple[float, np.ndarray]:
+        theta = angles.flatten()
         # the weights are +-1, 2 and 0, so every product here is exact
         pairs = theta[self.columns]
         pairs *= self.weights
@@ -663,7 +667,6 @@ class _LightCone:
         return float(value), np.bincount(self.columns.ravel(), slopes.ravel(), len(theta))
 
 
-@lru_cache(maxsize=_GRAPH_CACHE_SIZE)
 def _light_cone(g: Graph) -> _LightCone:
     m = g.edge_count
     edge_at = {}
@@ -716,33 +719,39 @@ def _light_cone(g: Graph) -> _LightCone:
     for t, (_, fs) in enumerate(terms):
         index[t, :len(fs)] = fs
     coef = np.array([c for c, _ in terms])
-    return _LightCone(columns, weights, shift, index, coef, m / 2)
+    return _LightCone(g, columns, weights, shift, index, coef, m / 2)
 
 
 def expectation_and_gradient(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
-    """Expected cut size and its gradient in flattened angle order.
-
-    One layer is evaluated in closed form (see _LightCone), deeper circuits
-    by the adjoint statevector sweep (see _adjoint).
-    """
+    """Expected cut size and its gradient in flattened angle order: one layer
+    in closed form (see _LightCone), deeper circuits by the adjoint
+    statevector sweep (see _Plan)."""
     _check_angles(g, angles)
-    if angles.p == 1:
-        return _light_cone(g).evaluate(angles.flatten())
-    return _adjoint(g, angles)
+    return _oracle(g, angles.p)(angles)
 
 
 class _Plan:
     """The adjoint sweep of one graph at p layers, with every numpy call bound.
 
-    Its block holds 4p + 2 half states: the forward pass keeps the ket in
-    rows 0 .. 2p - 1, the backward pass the bra in rows 2p .. 4p - 1, and
-    rows 4p (`bra`) and 4p + 1 (`final`) are the bra and the work row.
-    `forward` reads the angles from `gamma` and `beta`, views of one
-    (p, m + n) buffer: the argument products into the bras' rows, the phase
-    factors, and the circuit into `final`.
-    `backward` steps the bra from `bra` back through the layers, takes each
-    layer's product conj(bra) * ket, and contracts its imaginary parts into
-    `grad`, flat, a quarter of the gradient. No call refers to the plan, so
+    Called on angles, it returns the expected cut size and its gradient by
+    reverse-mode (adjoint) differentiation. Every gate exp(-i*t*G) commutes
+    with its generator G and with the rest of its layer, so all of a
+    layer's derivatives are 2*Im(<bra|G|ket>) at one point of the layer: the
+    gammas' just after its cost diagonal, the betas' just after its mixer
+    diagonal in the Hadamard basis, where X_v is the diagonal 1 - 2 z_v.
+
+    Its block holds 4p + 2 half states: the forward pass keeps the ket at
+    both points of every layer in rows 0 .. 2p - 1, the backward pass the
+    bra in rows 2p .. 4p - 1, and rows 4p (`bra`) and 4p + 1 (`final`) are
+    the bra and the work row. `forward` reads the angles from `gamma` and
+    `beta`, views of one (p, m + n) buffer: the argument products into the
+    bras' rows, the phase factors, and the circuit into `final`.
+    `backward` steps the bra from `bra` back through the layers alone,
+    undoing each diagonal with the conjugates of the forward pass's phase
+    factors, takes each layer's product conj(bra) * ket, and contracts its
+    imaginary parts into `grad`, flat, one contraction per diagonal. Every
+    stored amplitude stands for two, so the value is twice the half's sum
+    and `grad` a quarter of the gradient. No call refers to the plan, so
     one built per call is freed as soon as it is dropped.
     """
 
@@ -783,48 +792,31 @@ class _Plan:
         calls += tables.contract(w[0::2], grad[:, :m]) + spins.contract(w[1::2], grad[:, m:])
         self.backward = calls
 
-
-_LAST = threading.local()  # the calling thread's kept plan, see _plan
-
-
-def _plan(g: Graph, p: int) -> _Plan:
-    """The calling thread's plan for g at p layers. While the half state fits
-    the low split the thread keeps its last plan, as a BFGS run makes every
-    call on one graph and p and the harness runs a graph's cells back to
-    back; a call on another graph or p replaces it, freeing it: at n = 11,
-    p = 3 a plan holds 224 KiB of half states and 96 KiB of phase tables.
-    Above the split a plan is built per call and dropped."""
-    if g.n - 1 > _LO_BITS:
-        return _Plan(g, p)
-    plan = getattr(_LAST, "plan", None)
-    if plan is None or plan.p != p or (plan.graph is not g and plan.graph != g):
-        plan = _LAST.plan = _Plan(g, p)
-    return plan
+    def __call__(self, angles: AngleVector) -> tuple[float, np.ndarray]:
+        # two copies into prebound views take a third of np.concatenate's time
+        self.gamma[...] = angles.gamma
+        self.beta[...] = angles.beta
+        _run(self.forward)
+        np.multiply(self.cuts, self.final, out=self.bra)
+        value = 2.0 * float(_dot(np.vdot, self.final, self.bra).real)
+        _run(self.backward)
+        return value, 4.0 * self.grad
 
 
-def _adjoint(g: Graph, angles: AngleVector) -> tuple[float, np.ndarray]:
-    """expectation_and_gradient on the statevector, for any number of layers.
+_LAST = threading.local()  # the calling thread's kept oracle, see _oracle
 
-    The gradient is computed by reverse-mode (adjoint) differentiation. Every
-    gate exp(-i*t*G) commutes with its generator G and with the rest of its
-    layer, so all of a layer's derivatives are 2*Im(<bra|G|ket>) at one
-    point of the layer: the gammas' just after its cost diagonal, the
-    betas' just after its mixer diagonal in the Hadamard basis, where X_v
-    is the diagonal 1 - 2 z_v. The forward pass keeps the ket at both
-    points of every layer; the backward pass steps the bra alone back
-    through the layers, undoing each diagonal with the conjugates of the
-    forward pass's phase factors, and keeps it at the same points. All
-    derivatives are then read from one product of the two blocks, one
-    contraction per diagonal. A call holds 4p + 2 half states (see
-    _Plan); every stored amplitude stands for two, so value and gradient
-    are twice the half's sums.
-    """
-    plan = _plan(g, angles.p)
-    # two copies into prebound views take a third of np.concatenate's time
-    plan.gamma[...] = angles.gamma
-    plan.beta[...] = angles.beta
-    _run(plan.forward)
-    np.multiply(plan.cuts, plan.final, out=plan.bra)
-    value = 2.0 * float(_dot(np.vdot, plan.final, plan.bra).real)
-    _run(plan.backward)
-    return value, 4.0 * plan.grad
+
+def _oracle(g: Graph, p: int) -> _LightCone | _Plan:
+    """The calling thread's oracle for g at p layers: the closed form at
+    p = 1, else an adjoint plan. A thread keeps its last oracle, as a BFGS
+    run makes every call on one graph and p and the harness runs a graph's
+    cells back to back; a call on another graph or p replaces it, freeing
+    it: at n = 11, p = 3 a plan holds 224 KiB of half states and 96 KiB of
+    phase tables. Only a plan whose half state crosses the split
+    (n - 1 > _LO_BITS) is built per call and dropped."""
+    oracle = getattr(_LAST, "oracle", None)
+    if oracle is None or oracle.p != p or (oracle.graph is not g and oracle.graph != g):
+        oracle = _light_cone(g) if p == 1 else _Plan(g, p)
+        if p == 1 or g.n - 1 <= _LO_BITS:
+            _LAST.oracle = oracle
+    return oracle

@@ -152,14 +152,14 @@ def run_strategy(
     start = start_rule(g, p, seed, prior)
     if optimizes:
         result = optimize_angles(g, start)
-        final = normalize_angles(result.final_angles)
+        final = result.final_angles
         initial_value = result.trace[0]
         final_value = result.final_value
         iterations = result.iterations
         evaluations = result.function_evaluations
         converged = result.converged
     else:
-        final = normalize_angles(start)
+        final = start
         final_value = expectation(g, run_circuit(g, start))
         initial_value = final_value
         iterations = 0
@@ -178,7 +178,7 @@ def run_strategy(
         seed=seed,
         initial_ar=ratio(initial_value),
         final_ar=ratio(final_value),
-        final_angles=tuple(float(a) for a in final.flatten()),
+        final_angles=tuple(normalize_angle(final.flatten()).tolist()),
         iterations=iterations,
         function_evaluations=evaluations,
         converged=converged,

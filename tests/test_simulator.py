@@ -27,8 +27,9 @@ from maqaoa.simulator import (
     _PRODUCT_SIZE,
     _LAST,
     _Block,
+    _LightCone,
     _Phases,
-    _adjoint,
+    _Plan,
     _chunk_layout,
     _cost_tables,
     _half_cuts,
@@ -763,14 +764,15 @@ def test_plan_reuse_keeps_the_bits(n, p):
 
 def test_calls_alternating_between_plans_keep_the_bits():
     """Calls that alternate between K4, C4 and the paw (C4's edge count) at
-    p = 2, and on C4 between p = 2 and 3, each return the bits of that
-    input's call in a thread of its own: each graph and depth runs in a
-    plan of its own."""
+    p = 2, on C4 between p = 2 and 3, and between plans and the closed forms
+    of C4 and the paw at p = 1, each return the bits of that input's call in
+    a thread of its own: each graph and depth runs in an oracle of its own."""
     k4 = Graph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     c4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
-    inputs = [(g, random_angles(g, p, seed=43 + k))
-              for k, (g, p) in enumerate(((k4, 2), (c4, 2), (paw, 2), (c4, 3)))]
+    inputs = [(g, random_angles(g, p, seed=43 + k)) for k, (g, p) in enumerate(
+        ((k4, 2), (c4, 2), (c4, 1), (paw, 2), (paw, 1), (c4, 3))
+    )]
 
     def bits(g, angles):
         value, grad = expectation_and_gradient(g, angles)
@@ -781,33 +783,36 @@ def test_calls_alternating_between_plans_keep_the_bits():
     assert all(round_ == alone for round_ in rounds)
 
 
-def test_a_thread_keeps_one_plan_its_last():
+def test_a_thread_keeps_one_oracle_its_last():
     """Consecutive calls on C4 at p = 2 run in one plan; a call on the paw
-    (C4's edge count), and then on the paw at p = 3, each free the plan
-    before it. The per-graph tables stay bounded by _GRAPH_CACHE_SIZE."""
+    (C4's edge count) at p = 1 frees it and keeps the paw's closed form,
+    which a second such call reuses; a call on the paw at p = 3 frees that
+    in turn. The per-graph tables stay bounded by _GRAPH_CACHE_SIZE."""
     c4 = Graph(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
     paw = Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
 
-    def plan_after(g, p, seed):
+    def oracle_after(g, p, seed):
         expectation_and_gradient(g, random_angles(g, p, seed=seed))
-        return _LAST.plan
+        return _LAST.oracle
 
     def calls():
-        first = plan_after(c4, 2, 0)
-        reused = plan_after(c4, 2, 1) is first
-        before = weakref.ref(first)
+        first = oracle_after(c4, 2, 0)
+        plan_reused = oracle_after(c4, 2, 1) is first
+        plan = weakref.ref(first)
         del first
-        other = plan_after(paw, 2, 2)
-        graph_freed = before() is None
-        before = weakref.ref(other)
-        del other
-        plan_after(paw, 3, 3)
-        return reused, graph_freed, before() is None
+        cone = oracle_after(paw, 1, 2)
+        plan_freed = plan() is None
+        cone_kept = type(cone) is _LightCone and cone.graph == paw
+        cone_reused = oracle_after(paw, 1, 3) is cone
+        kept = weakref.ref(cone)
+        del cone
+        oracle_after(paw, 3, 4)
+        return plan_reused, plan_freed, cone_kept, cone_reused, kept() is None
 
-    reused, graph_freed, depth_freed = _in_thread(calls)
-    assert reused
-    assert graph_freed and depth_freed
-    for cache in (_cost_tables, _half_cuts, _light_cone):
+    plan_reused, plan_freed, cone_kept, cone_reused, cone_freed = _in_thread(calls)
+    assert plan_reused and plan_freed
+    assert cone_kept and cone_reused and cone_freed
+    for cache in (_cost_tables, _half_cuts):
         assert cache.cache_info().maxsize == _GRAPH_CACHE_SIZE
 
 
@@ -833,7 +838,7 @@ def test_run_circuit_keeps_no_plan():
         plans = []
         for p in (1, 2, 3):
             run_circuit(g, random_angles(g, p, seed=45 + p))
-            plans.append(getattr(_LAST, "plan", None))
+            plans.append(getattr(_LAST, "oracle", None))
         return plans
 
     for n in (4, 8, _LO_BITS + 1):
@@ -843,11 +848,11 @@ def test_run_circuit_keeps_no_plan():
 
     def kept_plans():
         expectation_and_gradient(g, random_angles(g, 2, seed=50))
-        plan = _LAST.plan
+        plan = _LAST.oracle
         run_circuit(other, random_angles(other, 2, seed=51))
-        after_other = _LAST.plan
+        after_other = _LAST.oracle
         run_circuit(g, random_angles(g, 3, seed=52))
-        return plan, after_other, _LAST.plan
+        return plan, after_other, _LAST.oracle
 
     plan, after_other, after_depth = _in_thread(kept_plans)
     assert after_other is plan and after_depth is plan
@@ -913,7 +918,8 @@ def test_a_call_above_the_split_keeps_no_plan():
     half = 16 << (g.n - 1)
     assert peak >= (4 * 2 + 2) * half  # the block was there
     assert current < 16 << 10 < half
-    assert getattr(_LAST, "plan", None) is None or _LAST.plan.graph != g
+    kept = getattr(_LAST, "oracle", None)
+    assert kept is None or (kept.graph, kept.p) != (g, 2)
 
 
 def test_diagonal_multiplies_allocate_nothing_above_the_split():
@@ -991,10 +997,11 @@ P1_GRAPHS = (
 
 @pytest.mark.parametrize("g", P1_GRAPHS, ids=lambda g: f"n{g.n}m{g.edge_count}")
 def test_one_layer_closed_form_matches_adjoint(g):
+    adjoint = _Plan(g, 1)
     for seed in range(3):
         for angles in (random_angles(g, 1, seed=17 + seed), _pi8_angles(g, seed)):
             value, grad = expectation_and_gradient(g, angles)
-            ref_value, ref_grad = _adjoint(g, angles)
+            ref_value, ref_grad = adjoint(angles)
             assert abs(value - ref_value) < 1e-12
             assert grad.shape == ref_grad.shape
             np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=1e-12)
