@@ -34,10 +34,12 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .graphs import Graph
+if TYPE_CHECKING:
+    from .graphs import Graph
 
 # the diagonals are kept factored over a split of the half's basis index
 # into its low _LO_BITS bits and the remaining high bits; see _CostTables
@@ -161,15 +163,16 @@ class _CostTables:
             tuple(int(h) for h in np.flatnonzero(row)) for row in self.flips.T
         ))
 
-    def sums(self) -> np.ndarray:
-        """Each basis state's sum of the terms, flat 2^(a + b).
+    def sums(self, rows: slice = slice(None)) -> np.ndarray:
+        """The sum of the terms of each basis state in a range of rows, all
+        by default, flat, 2^b per row.
 
         The cost's terms are zeros and ones, so its sums, the cut sizes, are
         exact in any order of addition.
         """
         # for a = 0, high is one all-zero row and no term crosses
-        sums = self.high.sum(axis=1)[:, None] + self.low.sum(axis=1)
-        for flipped, group in zip(self.flips, self.groups):
+        sums = self.high[rows].sum(axis=1)[:, None] + self.low.sum(axis=1)
+        for flipped, group in zip(self.flips[:, rows], self.groups):
             crossing = self.low[:, group == 1].sum(axis=1)
             np.subtract(sums, 2.0 * crossing, out=sums, where=flipped[:, None])
         return sums.ravel()

@@ -1,11 +1,12 @@
 """Independent reference implementations used only by the test suite.
 
-Everything here is deliberately naive: dense matrix exponentials, explicit
+Everything here is deliberately naive: dense matrix gates, explicit
 Python loops, and brute-force search over permutations. None of it shares
 code paths with the package, so agreement is meaningful evidence.
 
 * Dense oracle: `dense_circuit`, `dense_gradient` and `dense_expectation`
-  build every gate as a 2^n x 2^n matrix exponential.
+  build every gate as a 2^n x 2^n matrix, the closed-form exponential of
+  its dense generator.
 * Gate-by-gate reference: `prepare_plus_state`, `apply_cost_phase` and
   `apply_mixer_rotation` update a full 2^n statevector in place, one edge
   phase or one vertex rotation at a time, in the package's conventions
@@ -25,7 +26,6 @@ import math
 
 import networkx as nx
 import numpy as np
-from scipy.linalg import expm
 
 from maqaoa import (
     AngleVector,
@@ -123,15 +123,22 @@ def dense_circuit(g: Graph, angles: AngleVector) -> np.ndarray:
 
 def _dense_gates(g: Graph, angles: AngleVector) -> list[tuple[np.ndarray, np.ndarray]]:
     """(generator, unitary) of every gate in circuit order: per layer the
-    edge phases, then the vertex rotations."""
+    edge phases, then the vertex rotations.
+
+    Each unitary is its generator's exponential in closed form. The edge
+    generator G is a projector (G^2 = G), so exp(-i t G) = I + (e^(-i t) - 1) G;
+    the vertex generator X_v squares to I, so exp(-i t X_v) = cos t I - i sin t X_v.
+    """
+    eye = np.eye(1 << g.n, dtype=np.complex128)
     gates = []
     for layer in range(angles.p):
         for k, (u, v) in enumerate(g.edges):
             gen = dense_edge_cost(g.n, u, v)
-            gates.append((gen, expm(-1j * angles.gamma[layer, k] * gen)))
+            gates.append((gen, eye + (np.exp(-1j * angles.gamma[layer, k]) - 1) * gen))
         for vtx in range(g.n):
             gen = _kron_at(_X, vtx, g.n)
-            gates.append((gen, expm(-1j * angles.beta[layer, vtx] * gen)))
+            beta = angles.beta[layer, vtx]
+            gates.append((gen, np.cos(beta) * eye - 1j * np.sin(beta) * gen))
     return gates
 
 

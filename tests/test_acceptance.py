@@ -7,11 +7,10 @@ part of what the criteria assert. Bands for the stochastic criteria are
 deliberately loose: they check direction and magnitude, not exact replay.
 
 Time bounds read the calling thread's CPU time, which another process on
-the machine cannot inflate. The process's CPU time would also count
-OpenBLAS's worker threads, which scipy's `expm` in the dense oracle wakes
-and which then spin: on a 2-core machine criterion 1 read twice its wall
-time. Each timed test also asserts the work it did, a count that no
-machine changes.
+the machine cannot inflate. The dense oracle builds its gates in closed
+form, with no call large enough to wake an OpenBLAS worker thread, so
+criterion 1's process CPU time stays close to its wall time. Each timed
+test also asserts the work it did, a count that no machine changes.
 """
 
 import math

@@ -2,6 +2,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from maqaoa import (
@@ -97,8 +98,35 @@ def test_max_cut_matches_naive_oracle_on_enumeration():
 
 
 def test_max_cut_matches_naive_oracle_on_random_graphs():
+    """At n = 12 the half cut table's index crosses the simulator's 10-bit
+    split; at 18 and 20 the search spans several blocks of 2^16 cut values.
+    With vertex n - 1 on side 0, a star's one maximum (with its complement)
+    sits in the table's first block when vertex 0 is its center, and is the
+    table's last entry when vertex n - 1 is."""
     for seed, g in enumerate(random_nonisomorphic_connected(8, 5, seed=13)):
         assert max_cut(g) == naive_max_cut(g), f"graph {seed}"
+    for n in (12, 18, 20):
+        stars = (Graph(n, tuple((c, v) for v in range(n) if v != c)) for c in (0, n - 1))
+        for g in (_random_connected(n, seed=n), *stars):
+            assert max_cut(g) == _xor_max_cut(g), f"n = {n}, {g.edges[:2]}"
+
+
+def _random_connected(n: int, seed: int) -> Graph:
+    """A random spanning tree plus each other pair with probability 0.3."""
+    rng = random.Random(seed)
+    tree = {(rng.randrange(v), v) for v in range(1, n)}
+    rest = [pq for pq in itertools.combinations(range(n), 2) if pq not in tree]
+    return Graph(n, tuple(tree) + tuple(pq for pq in rest if rng.random() < 0.3))
+
+
+def _xor_max_cut(g: Graph) -> int:
+    """The largest count, over all 2^n assignments, of edges whose endpoint
+    bits differ."""
+    index = np.arange(1 << g.n)
+    cuts = np.zeros(1 << g.n, dtype=np.int64)
+    for u, v in g.edges:
+        cuts += ((index >> u) ^ (index >> v)) & 1
+    return int(cuts.max())
 
 
 def test_bipartite_max_cut_equals_edge_count(path4, star4, c4):
