@@ -2,15 +2,13 @@
 
 Self-contained quasi-Newton loop over a joint value-and-gradient oracle.
 Internally the objective is negated and minimized; the inverse Hessian
-approximation starts as the identity, is rescaled by s'y / y'y right before
-the first update, and follows the standard two-sided BFGS update afterwards.
-Updates are skipped when the curvature s'y is not safely positive.
+approximation starts as the identity and follows the standard two-sided BFGS
+update. Updates are skipped when the curvature s'y is not safely positive.
 
 The line search doubles its step until a bracket has a far end, then zooms
 with safeguarded quadratic interpolation and a bisection fallback, accepting
 only points that satisfy both strong Wolfe conditions, so every accepted step
-strictly improves the objective. Steps accepted before any bracket exists get
-one interpolation probe, which lands the exact minimizer of a near-quadratic.
+strictly improves the objective.
 """
 
 from __future__ import annotations
@@ -60,8 +58,15 @@ class OptimizationResult(Generic[Point]):
     final_value: float
     iterations: int
     function_evaluations: int
-    converged: bool
+    #: why the run stopped: "gradient_tol", "max_iterations" or
+    #: "line_search_failed"
+    stop_reason: str
     trace: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        """True when the gradient's infinity norm fell below GRADIENT_TOLERANCE."""
+        return self.stop_reason == "gradient_tol"
 
 
 def _quad_min(a, fa, fpa, b, fb):
@@ -85,8 +90,8 @@ def _line_search(line, phi0, derphi0, alpha1):
     line maps a step length alpha to (value, slope, gradient) at that point
     of the search line. Returns (alpha, value, gradient), or None when no
     acceptable step was found within _MAX_LINE_SEARCH_STEPS evaluations,
-    which the doubling phase, the zoom and the probe share, or when the
-    bracket collapses to a single point.
+    which the doubling phase and the zoom share, or when the bracket
+    collapses to a single point.
 
     One loop runs both: the doubling phase is the zoom before the bracket
     has a far end (a_hi is None), stepping to alpha1 and then twice a_lo.
@@ -121,25 +126,6 @@ def _line_search(line, phi0, derphi0, alpha1):
             phi_hi = phi_a
             continue
         if abs(derphi_a) <= -_C2 * derphi0:
-            # a step accepted before any bracket can still be far from the
-            # line minimum: one interpolation probe, if the budget allows,
-            # lands the exact minimizer of a near-quadratic restriction, and
-            # is kept only if it meets both conditions and improves on phi_a
-            a_q = None
-            if a_hi is None and calls < _MAX_LINE_SEARCH_STEPS:
-                a_q = _quad_min(0.0, phi0, derphi0, alpha, phi_a)
-            if (
-                a_q is not None
-                and 0.0 < a_q <= 10.0 * alpha
-                and abs(a_q - alpha) > 1e-9 * alpha
-            ):
-                phi_q, derphi_q, grad_q = line(a_q)
-                if (
-                    phi_q <= phi0 + _C1 * a_q * derphi0
-                    and abs(derphi_q) <= -_C2 * derphi0
-                    and phi_q < phi_a
-                ):
-                    return a_q, phi_q, grad_q
             return alpha, phi_a, grad_a
         # a_lo becomes the far end once the slope at alpha points back
         # towards it; before a bracket exists, once the slope turns upward
@@ -165,8 +151,9 @@ def bfgs_maximize(
 
     Returns:
         OptimizationResult whose final_angles field holds the flat
-        parameter array of the best point reached. converged is True only
-        when the gradient infinity norm dropped below GRADIENT_TOLERANCE.
+        parameter array of the best point reached. stop_reason says why the
+        run ended; converged is True only when the gradient infinity norm
+        dropped below GRADIENT_TOLERANCE.
     """
     cfg = config or OptimizerConfig()
     calls = 0
@@ -188,21 +175,21 @@ def bfgs_maximize(
         raise ValueError("start point must have at least one parameter")
     f, g = neg(x)
     trace = [-f]
-    H: np.ndarray | None = None
-    converged = False
+    H = np.eye(x.size)
+    stop_reason = "max_iterations"
     iterations = 0
     # seed for the first step-length guess, mirroring a common heuristic
     old_f = f + math.sqrt(g @ g) / 2
 
     for _ in range(cfg.max_iterations):
         if np.abs(g).max() < GRADIENT_TOLERANCE:
-            converged = True
+            stop_reason = "gradient_tol"
             break
-        direction = -g if H is None else -(H @ g)
+        direction = -(H @ g)
         derphi0 = float(np.dot(g, direction))
         if derphi0 >= 0:
             # numerical loss of positive definiteness: restart from identity
-            H = None
+            H = np.eye(x.size)
             direction = -g
             derphi0 = -float(np.dot(g, g))
         guess = 1.01 * 2 * (f - old_f) / derphi0
@@ -214,6 +201,7 @@ def bfgs_maximize(
 
         found = _line_search(line, f, derphi0, alpha1)
         if found is None:
+            stop_reason = "line_search_failed"
             break
         alpha, f_new, g_new = found
         s = alpha * direction
@@ -221,8 +209,6 @@ def bfgs_maximize(
         iterations += 1
         sy = float(np.dot(s, y))
         if sy > _CURVATURE_SKIP * math.sqrt(s @ s) * math.sqrt(y @ y):
-            if H is None:
-                H = np.eye(x.size) * (sy / float(np.dot(y, y)))
             Hy = H @ y
             rho = 1.0 / sy
             column = s[:, None]
@@ -239,7 +225,7 @@ def bfgs_maximize(
         final_value=-f,
         iterations=iterations,
         function_evaluations=calls,
-        converged=converged,
+        stop_reason=stop_reason,
         trace=trace,
     )
 
