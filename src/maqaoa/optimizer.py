@@ -239,17 +239,11 @@ def optimize_angles(
     equivalent. The result's final_angles is an AngleVector with the same
     shape as the start point.
     """
-    p = start.p
-    m = g.edge_count
-    nv = g.n
-
     def objective(flat):
-        # unchecked views of a point shaped like the validated start: the
+        # an unchecked view of a point shaped like the validated start: the
         # optimizer never writes to a point it has evaluated, it only builds
         # new ones, and the oracle never writes its angles
-        layers = flat.reshape(p, m + nv)
-        return expectation_and_gradient(g, AngleVector._unchecked(layers[:, :m], layers[:, m:]))
+        return expectation_and_gradient(g, start._like(flat))
 
     result = bfgs_maximize(objective, start.flatten(), config)
-    final = AngleVector.unflatten(result.final_angles, p, m, nv)
-    return dataclasses.replace(result, final_angles=final)
+    return dataclasses.replace(result, final_angles=start._like(result.final_angles))

@@ -72,10 +72,14 @@ StateVector = np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class AngleVector:
-    """Per-layer circuit angles: gamma has shape (p, edges), beta (p, vertices)."""
+    """Per-layer circuit angles in one float64 (p, edges + vertices) array,
+    `layers`: row l holds layer l's gammas, one per edge, then its betas, one
+    per vertex. `gamma` and `beta` are views of it. The constructor copies
+    its arguments into a new one."""
 
     gamma: np.ndarray
     beta: np.ndarray
+    layers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         gamma = np.atleast_2d(np.asarray(self.gamma, dtype=np.float64))
@@ -83,33 +87,36 @@ class AngleVector:
         if gamma.ndim != 2 or beta.ndim != 2:
             raise ValueError("gamma and beta must be 2-D (layers, angles)")
         if gamma.shape[0] != beta.shape[0]:
-            raise ValueError(
-                f"layer mismatch: gamma has {gamma.shape[0]}, beta {beta.shape[0]}"
-            )
+            raise ValueError(f"layer mismatch: gamma has {gamma.shape[0]}, beta {beta.shape[0]}")
         if gamma.shape[0] < 1:
             raise ValueError("at least one layer is required")
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "beta", beta)
+        self._bind(np.concatenate((gamma, beta), axis=1), gamma.shape[1])
 
-    @classmethod
-    def _unchecked(cls, gamma: np.ndarray, beta: np.ndarray) -> "AngleVector":
-        """gamma and beta as they are, float64 (p, edges) and (p, vertices)
-        with p >= 1, unchecked: for views of a point already validated."""
-        vector = object.__new__(cls)
-        vector.__dict__.update(gamma=gamma, beta=beta)
+    def _bind(self, layers: np.ndarray, m: int) -> None:
+        self.__dict__.update(layers=layers, gamma=layers[:, :m], beta=layers[:, m:])
+
+    def _like(self, flat: np.ndarray) -> "AngleVector":
+        """flat, float64 of any shape with this vector's size, as a vector of
+        its shape, unchecked and uncopied: for views of a point already
+        validated."""
+        vector = object.__new__(AngleVector)
+        vector._bind(flat.reshape(self.layers.shape), self.gamma.shape[1])
         return vector
+
+    def __reduce__(self):  # a copy's gamma and beta are views of its one array
+        return AngleVector, (self.gamma, self.beta)
 
     @property
     def p(self) -> int:
-        return self.gamma.shape[0]
+        return self.layers.shape[0]
 
     @property
     def size(self) -> int:
-        return self.gamma.size + self.beta.size
+        return self.layers.size
 
     def flatten(self) -> np.ndarray:
-        """Flat view: [gamma_1, beta_1, gamma_2, beta_2, ...]."""
-        return np.concatenate((self.gamma, self.beta), axis=1).ravel()
+        """A flat copy: [gamma_1, beta_1, gamma_2, beta_2, ...]."""
+        return self.layers.flatten()
 
     @classmethod
     def unflatten(
@@ -123,7 +130,7 @@ class AngleVector:
                 f"{edge_count} edges, {vertex_count} vertices; got {flat.size}"
             )
         layers = flat.reshape(p, width)
-        return cls(layers[:, :edge_count].copy(), layers[:, edge_count:].copy())
+        return cls(layers[:, :edge_count], layers[:, edge_count:])
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,7 +657,7 @@ class _LightCone:
     p = 1
 
     def __call__(self, angles: AngleVector) -> tuple[float, np.ndarray]:
-        theta = angles.flatten()
+        theta = angles.layers.reshape(-1)
         # the weights are +-1, 2 and 0, so every product here is exact
         pairs = theta[self.columns]
         pairs *= self.weights
@@ -746,9 +753,9 @@ class _Plan:
     Its block holds 4p + 2 half states: the forward pass keeps the ket at
     both points of every layer in rows 0 .. 2p - 1, the backward pass the
     bra in rows 2p .. 4p - 1, and rows 4p (`bra`) and 4p + 1 (`final`) are
-    the bra and the work row. `forward` reads the angles from `gamma` and
-    `beta`, views of one (p, m + n) buffer: the argument products into the
-    bras' rows, the phase factors, and the circuit into `final`.
+    the bra and the work row. `forward` reads the angles from `layers`, laid
+    out as AngleVector's: the argument products into the bras' rows, the
+    phase factors, and the circuit into `final`.
     `backward` steps the bra from `bra` back through the layers alone,
     undoing each diagonal with the conjugates of the forward pass's phase
     factors, takes each layer's product conj(bra) * ket, and contracts its
@@ -770,9 +777,8 @@ class _Plan:
         # built, so their rows hold the phases' arguments: p * width floats
         # of p * 2^(n + 1), each table's width being at most 2^n
         arg = bras.view(np.float64).reshape(-1)[:p * (tables.width + spins.width)]
-        angles = np.empty((p, m + n))
-        self.gamma, self.beta = angles[:, :m], angles[:, m:]
-        phases = _Phases(tables, spins, self.gamma, self.beta, arg.reshape(p, -1))
+        self.layers = np.empty((p, m + n))
+        phases = _Phases(tables, spins, self.layers[:, :m], self.layers[:, m:], arg.reshape(p, -1))
         cost, mix = phases.cost, phases.mix
         bra, spare = 4 * p, 4 * p + 1
         self.bra, self.final = states[bra], states[spare]
@@ -796,9 +802,7 @@ class _Plan:
         self.backward = calls
 
     def __call__(self, angles: AngleVector) -> tuple[float, np.ndarray]:
-        # two copies into prebound views take a third of np.concatenate's time
-        self.gamma[...] = angles.gamma
-        self.beta[...] = angles.beta
+        self.layers[...] = angles.layers
         _run(self.forward)
         np.multiply(self.cuts, self.final, out=self.bra)
         value = 2.0 * float(_dot(np.vdot, self.final, self.bra).real)

@@ -49,13 +49,12 @@ def pi8_multiples(values) -> np.ndarray:
 
 
 def normalize_angles(angles: AngleVector) -> AngleVector:
-    return AngleVector(normalize_angle(angles.gamma), normalize_angle(angles.beta))
+    return angles._like(normalize_angle(angles.layers))
 
 
 def round_angles(angles: AngleVector) -> AngleVector:
     """Normalize then snap every angle to its nearest pi/8 multiple."""
-    norm = normalize_angles(angles)
-    return AngleVector(round_to_pi8(norm.gamma), round_to_pi8(norm.beta))
+    return angles._like(round_to_pi8(normalize_angle(angles.layers)))
 
 
 def init_uniform_random(g: Graph, p: int, seed: int) -> AngleVector:
@@ -97,7 +96,9 @@ def _round_prior(
 ) -> AngleVector:
     if prior is None:
         raise ValueError("rounded_no_opt needs the prior normal record")
-    if prior.p != p or prior.n != g.n or prior.edge_count != g.edge_count:
+    # the same labeled graph: an isomorphic relabeling shares the graph id,
+    # not the edge order that the stored gammas follow
+    if prior.p != p or prior.n != g.n or prior.edges != g.edges:
         raise ValueError("prior record does not match this graph and depth")
     return round_angles(prior.angle_vector())
 

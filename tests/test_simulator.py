@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import sys
 import threading
 import time
@@ -75,6 +77,37 @@ def test_angle_vector_flatten_roundtrip():
 def test_angle_vector_flatten_order_is_layer_major_gamma_first():
     a = AngleVector([[1.0, 2.0], [3.0, 4.0]], [[5.0], [6.0]])
     np.testing.assert_array_equal(a.flatten(), [1, 2, 5, 3, 4, 6])
+
+
+def test_angle_vector_copies_its_arguments_into_one_array():
+    gamma, beta = np.zeros((2, 3)), np.zeros((2, 4))
+    a = AngleVector(gamma, beta)
+    gamma[0, 0] = beta[0, 0] = 1.0
+    assert not a.flatten().any()
+    assert a.layers.shape == (2, 7)
+    assert np.shares_memory(a.gamma, a.layers) and np.shares_memory(a.beta, a.layers)
+
+
+@pytest.mark.parametrize("clone", [lambda a: pickle.loads(pickle.dumps(a)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_angle_vector_copy_keeps_gamma_and_beta_views(triangle, clone):
+    """A copy's gamma and beta are views of its own layers, so a write to
+    either reaches flatten() and the oracle, and not the original."""
+    angles = random_angles(triangle, 2, seed=3)
+    before = angles.flatten()
+    twin = clone(angles)
+    np.testing.assert_array_equal(twin.flatten(), before)
+    twin.gamma[1, 2] += 0.5
+    twin.beta[0, 1] -= 0.25
+    flat = before.copy()  # rows of 3 gammas, then 3 betas
+    flat[6 + 2] += 0.5
+    flat[3 + 1] -= 0.25
+    np.testing.assert_array_equal(twin.flatten(), flat)
+    np.testing.assert_array_equal(angles.flatten(), before)
+    moved = AngleVector.unflatten(flat, 2, 3, 3)
+    value = expectation_and_gradient(triangle, twin)[0]
+    assert value == expectation_and_gradient(triangle, moved)[0]
+    assert value != expectation_and_gradient(triangle, angles)[0]
 
 
 def test_angle_vector_layer_mismatch_rejected():
@@ -645,13 +678,11 @@ def test_oracle_never_writes_its_angles(g, p):
     angles = random_angles(g, p, seed=19)
     flat = angles.flatten()
     flat.flags.writeable = False
-    layers = flat.reshape(p, -1)
-    value, grad = expectation_and_gradient(
-        g, AngleVector(layers[:, :g.edge_count], layers[:, g.edge_count:])
-    )
-    ref_value, ref_grad = expectation_and_gradient(
-        g, AngleVector(angles.gamma.copy(), angles.beta.copy())
-    )
+    # the point as optimize_angles builds it: views of flat, not a copy
+    point = angles._like(flat)
+    assert np.shares_memory(point.gamma, flat) and np.shares_memory(point.beta, flat)
+    value, grad = expectation_and_gradient(g, point)
+    ref_value, ref_grad = expectation_and_gradient(g, angles)
     assert value == ref_value
     np.testing.assert_array_equal(grad, ref_grad)
     np.testing.assert_array_equal(flat, angles.flatten())

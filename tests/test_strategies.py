@@ -254,6 +254,18 @@ def test_rounded_no_opt_requires_prior(path4):
         run_strategy(path4, "rounded_no_opt", 1, 14)
 
 
+def test_rounded_no_opt_rejects_another_graphs_prior(path4, star4):
+    # the same n, edge count and p: only the edges tell the graphs apart
+    prior = run_strategy(path4, "normal", 1, 3)
+    with pytest.raises(ValueError, match="does not match"):
+        run_strategy(star4, "rounded_no_opt", 1, 3, prior=prior)
+    # the path 0-2-1-3 has path4's graph id, but its gammas follow other edges
+    relabeled = Graph(4, ((0, 2), (1, 2), (1, 3)))
+    assert relabeled.id == prior.graph_id
+    with pytest.raises(ValueError, match="does not match"):
+        run_strategy(relabeled, "rounded_no_opt", 1, 3, prior=prior)
+
+
 def test_rounded_no_opt_fixed_point(triangle):
     normal = run_strategy(triangle, "normal", 1, 15)
     rounded = run_strategy(triangle, "rounded_no_opt", 1, 15, prior=normal)

@@ -31,3 +31,22 @@ def test_paired_counts_the_cells_whose_final_ar_differs(tmp_path, capsys):
     # a file missing a cell is not paired
     moved.write_text("".join(lines[:-1]))
     assert paired.main([str(GOLDEN), str(moved)]) == 2
+
+
+def test_records_hash_ignores_wall_time_alone(tmp_path):
+    identity = load_tool("identity")
+    lines = GOLDEN.read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\n").split(",")
+
+    def edited(column, change):
+        """GOLDEN with one cell of its second record changed, hashed."""
+        cells = lines[2].rstrip("\n").split(",")
+        k = header.index(column)
+        cells[k] = change(cells[k])
+        path = tmp_path / f"{column}.csv"
+        path.write_text("".join(lines[:2] + [",".join(cells) + "\n"] + lines[3:]))
+        return identity.records_hash(path)
+
+    golden = identity.records_hash(GOLDEN)
+    assert edited("wall_time", lambda cell: repr(float(cell) + 1.5)) == golden
+    assert edited("final_ar", lambda cell: repr(float(cell) + 0.01)) != golden
